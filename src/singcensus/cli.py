@@ -20,7 +20,7 @@ from . import __version__
 from .algebra.field import PrimeField, is_prime
 from .algebra.poly import Poly, format_poly, infer_num_vars, parse_poly
 from .bounds import bounds_report, find_l0
-from .control import fresh_seed, trial_rng
+from .control import as_int, fresh_seed, trial_rng
 from .errors import CapExceeded, InternalCheckError, ValidationError
 from .experiments import (
     LinearConfig,
@@ -51,6 +51,13 @@ class RunConfig:
         if self.values.get(key) is None:
             raise ValidationError(f"--{key} (or config key {key!r}) is required")
         return self.values[key]
+
+    def require_int(self, key):
+        return as_int(key, self.require(key))
+
+    def get_int(self, key, default=None):
+        value = self.values.get(key)
+        return default if value is None else as_int(key, value)
 
     def to_json_dict(self):
         out = {}
@@ -106,7 +113,9 @@ def _resolve(args) -> RunConfig:
     return RunConfig(command=args.cmd, values=values)
 
 
-def _emit(cfg: RunConfig, result, seed=None, out=None) -> None:
+def _emit(cfg: RunConfig, result, seed=None, out=None, stream=None) -> None:
+    """Write the JSON envelope to the file ``out``, else to ``stream``
+    (default stdout)."""
     envelope = {
         "command": cfg.command,
         "version": __version__,
@@ -120,15 +129,15 @@ def _emit(cfg: RunConfig, result, seed=None, out=None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
 
 
 def _field_of(cfg: RunConfig) -> PrimeField:
-    p = int(cfg.require("p"))
+    p = cfg.require_int("p")
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    q = cfg.get("q")
-    if q is not None and int(q) != p:
+    q = cfg.get_int("q")
+    if q is not None and q != p:
         raise ValidationError(
             "q must equal p: prime fields only in this implementation"
         )
@@ -136,11 +145,11 @@ def _field_of(cfg: RunConfig) -> PrimeField:
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
-    n = int(cfg.require("n"))
-    b = int(cfg.require("b"))
-    l = int(cfg.require("l"))
-    p = int(cfg.require("p"))
-    q = int(cfg.get("q", p))
+    n = cfg.require_int("n")
+    b = cfg.require_int("b")
+    l = cfg.require_int("l")
+    p = cfg.require_int("p")
+    q = cfg.get_int("q", p)
     report = bounds_report(
         n,
         b,
@@ -148,17 +157,17 @@ def _cmd_bounds(cfg: RunConfig) -> int:
         p,
         q,
         s1_l0=cfg.get("s1_l0"),
-        window=int(cfg.get("window", 50)),
+        window=cfg.get_int("window", 50),
     )
     _emit(cfg, report.to_json_dict(), out=cfg.get("out"))
     return 0
 
 
 def _cmd_l0(cfg: RunConfig) -> int:
-    n = int(cfg.require("n"))
-    b = int(cfg.require("b"))
-    p = int(cfg.require("p"))
-    window = int(cfg.get("window", 50))
+    n = cfg.require_int("n")
+    b = cfg.require_int("b")
+    p = cfg.require_int("p")
+    window = cfg.get_int("window", 50)
     value = find_l0(n, b, p, window=window)
     if cfg.get("format") == "json":
         _emit(cfg, {"l0_large_d": value}, out=cfg.get("out"))
@@ -176,8 +185,7 @@ def _cmd_l0(cfg: RunConfig) -> int:
 def _cmd_singdim(cfg: RunConfig) -> int:
     text = cfg.require("text")
     field_ = _field_of(cfg)
-    nvars = cfg.get("nvars")
-    nvars = int(nvars) if nvars is not None else infer_num_vars(text)
+    nvars = cfg.get_int("nvars", infer_num_vars(text))
     poly = parse_poly(text, nvars, field_)
     dd = sing_dim_deg(poly)
     result = {
@@ -192,56 +200,44 @@ def _cmd_singdim(cfg: RunConfig) -> int:
 
 
 def _cmd_census(cfg: RunConfig) -> int:
-    n = int(cfg.require("n"))
-    b = int(cfg.require("b"))
-    l = int(cfg.require("l"))
+    n = cfg.require_int("n")
+    b = cfg.require_int("b")
+    l = cfg.require_int("l")
     field_ = _field_of(cfg)
-    mode = cfg.get("mode", "sample")
-    seed = cfg.get("seed")
-    trials = cfg.get("trials")
     records, summary = census(
         n,
         b,
         l,
         field_,
-        mode=mode,
-        trials=int(trials) if trials is not None else None,
-        seed=int(seed) if seed is not None else None,
+        mode=cfg.get("mode", "sample"),
+        trials=cfg.get_int("trials"),
+        seed=cfg.get_int("seed"),
         cap=cfg.get("cap"),
     )
     out = cfg.get("out")
-    envelope_summary = summary.to_json_dict()
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             write_census_csv(records, fh)
-        _emit(cfg, envelope_summary, seed=summary.seed)
+        _emit(cfg, summary.to_json_dict(), seed=summary.seed)
     else:
         write_census_csv(records, sys.stdout)
-        envelope = {
-            "command": cfg.command,
-            "version": __version__,
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "config": cfg.to_json_dict(),
-            "seed": summary.seed,
-            "result": envelope_summary,
-        }
-        sys.stderr.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        _emit(cfg, summary.to_json_dict(), seed=summary.seed, stream=sys.stderr)
     return 0
 
 
 def _cmd_speccodim(cfg: RunConfig) -> int:
-    n = int(cfg.require("n"))
-    b = int(cfg.require("b"))
-    l = int(cfg.require("l"))
+    n = cfg.require_int("n")
+    b = cfg.require_int("b")
+    l = cfg.require_int("l")
     field_ = _field_of(cfg)
-    seed = cfg.get("seed")
-    random_d = cfg.get("random", cfg.get("d") if cfg.get("points") is None else None)
+    seed = cfg.get_int("seed")
+    random_d = cfg.get_int(
+        "random", cfg.get_int("d") if cfg.get("points") is None else None
+    )
     if random_d is not None:
         if seed is None:
             seed = fresh_seed()
-        config = random_config(
-            n, b, int(random_d), field_.p, trial_rng(int(seed), 0)
-        )
+        config = random_config(n, b, random_d, field_.p, trial_rng(seed, 0))
     else:
         points = cfg.get("points")
         if points is None:
@@ -269,39 +265,39 @@ def _cmd_dhcount(cfg: RunConfig) -> int:
     if not z_texts:
         raise ValidationError("config key 'Z' (list of generator strings) is required")
     nv_candidates = [infer_num_vars(t) for t in z_texts]
-    nvars = int(cfg.get("nvars") or max(nv_candidates))
+    nvars = cfg.get_int("nvars") or max(nv_candidates)
     z_gens = [parse_poly(t, nvars, field_) for t in z_texts]
-    l = cfg.get("l")
-    tau_val = cfg.get("tau")
-    if tau_val is None:
+    l = cfg.get_int("l")
+    tau = cfg.get_int("tau")
+    if tau is None:
         if l is None:
             raise ValidationError("provide tau (config) or --l to derive it")
-        tau_val = (int(l) - 1) // p
+        tau = (l - 1) // p
     f0_text = cfg.get("text") or cfg.get("F0") or "0"
     f0 = parse_poly(f0_text, nvars - 1, field_)
     lhs, rhs = dh_counting(
         f0,
         z_gens,
-        int(tau_val),
+        tau,
         p,
         p,
-        hidden=int(cfg.get("hidden")) if cfg.get("hidden") is not None else None,
-        l=int(l) if l is not None else None,
+        hidden=cfg.get_int("hidden"),
+        l=l,
         cap=cfg.get("cap"),
     )
     _emit(
         cfg,
-        {"count_lhs": lhs, "count_rhs": rhs, "tau": int(tau_val), "nvars": nvars},
+        {"count_lhs": lhs, "count_rhs": rhs, "tau": tau, "nvars": nvars},
         out=cfg.get("out"),
     )
     return 0
 
 
 def _cmd_witness(cfg: RunConfig) -> int:
-    n = int(cfg.require("n"))
-    b = int(cfg.require("b"))
-    l = int(cfg.require("l"))
-    d = int(cfg.require("d"))
+    n = cfg.require_int("n")
+    b = cfg.require_int("b")
+    l = cfg.require_int("l")
+    d = cfg.require_int("d")
     field_ = _field_of(cfg)
     f_text = cfg.get("text") or cfg.get("f")
     if f_text is None:
@@ -323,15 +319,12 @@ def _cmd_witness(cfg: RunConfig) -> int:
 
 
 def _cmd_en_experiment(cfg: RunConfig) -> int:
-    n = int(cfg.require("n"))
-    b = int(cfg.require("b"))
-    l = int(cfg.require("l"))
+    n = cfg.require_int("n")
+    b = cfg.require_int("b")
+    l = cfg.require_int("l")
     field_ = _field_of(cfg)
-    trials = int(cfg.require("trials"))
-    seed = cfg.get("seed")
-    report = en_experiment(
-        n, b, l, field_.p, trials, seed=int(seed) if seed is not None else None
-    )
+    trials = cfg.require_int("trials")
+    report = en_experiment(n, b, l, field_.p, trials, seed=cfg.get_int("seed"))
     _emit(cfg, report.to_json_dict(), seed=report.seed, out=cfg.get("out"))
     return 0
 

@@ -3,20 +3,28 @@
 import os
 import random
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ValidationError
 
 DEFAULT_CAP = 1 << 25
 
 _MASK64 = (1 << 64) - 1
 
 
+def as_int(name, value):
+    """int(value), or a ValidationError naming the input it came from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+
+
 def resolve_cap(explicit=None):
     """Effective enumeration cap: explicit flag > SINGCENSUS_CAP env > default."""
     if explicit is not None:
-        return int(explicit)
+        return as_int("cap", explicit)
     env = os.environ.get("SINGCENSUS_CAP")
     if env:
-        return int(env)
+        return as_int("SINGCENSUS_CAP", env)
     return DEFAULT_CAP
 
 

@@ -10,9 +10,10 @@ forms whose singular locus has codimension one.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ..algebra.field import PrimeField
-from ..algebra.poly import GradedSpace
+from ..algebra.poly import GradedSpace, Poly
 from ..control import check_cap, fresh_seed, rational_json, trial_rng
 from ..errors import ValidationError
 from ..groebner import sing_dim_deg
@@ -92,6 +93,56 @@ def _validate_nbl(n: int, b: int, l: int) -> None:
         raise ValidationError("l >= 1 required")
 
 
+def _timed(measure, form):
+    """(measure(form), seconds it took)."""
+    t0 = time.perf_counter()
+    value = measure(form)
+    return value, time.perf_counter() - t0
+
+
+def _class_walk(space: GradedSpace, measure):
+    """Yield (code, value, seconds) for every nonzero form of ``space`` in
+    the coefficient-code order of ``GradedSpace.iter_all``, running
+    ``measure`` once per projective class.
+
+    ``measure`` must give c*f the same value as f for every unit c.  A code
+    is c*p^t + lower, with c its top nonzero digit at index t; the class
+    representative c^-1 * f has top digit 1 and the smallest code in the
+    class, so it is measured before any of its multiples.  A multiple reads
+    the representative's value from a list over the current top-index block,
+    indexed by the representative's lower code (the digits of ``lower``
+    times c^-1 mod p).  ``seconds`` is the time spent on the row: the
+    measurement for a representative, the lookup for a multiple.
+    """
+    field = space.field
+    p = field.p
+    mons = space.monomials
+    interned = {}
+    for t in range(len(mons)):
+        block = p**t
+        # over F_2 every class is a single form: nothing is ever looked up
+        cache = [None] * block if p > 2 else None
+        for lower, high_first in enumerate(product(range(p), repeat=t)):
+            form = Poly(field, space.num_vars, zip(mons, (*reversed(high_first), 1)))
+            value, seconds = _timed(measure, form)
+            if cache is not None:
+                cache[lower] = interned.setdefault(value, value)
+            yield block + lower, value, seconds
+        for c in range(2, p):
+            inv = pow(c, -1, p)
+            for lower in range(block):
+                t0 = time.perf_counter()
+                rep = 0
+                weight = 1
+                rest = lower
+                while rest:
+                    rest, digit = divmod(rest, p)
+                    rep += digit * inv % p * weight
+                    weight *= p
+                value = cache[rep]
+                yield c * block + lower, value, time.perf_counter() - t0
+
+
 def census(
     n: int,
     b: int,
@@ -107,46 +158,43 @@ def census(
     ``sample`` mode draws ``trials`` nonzero forms, each from its own
     (seed, index) random stream, so results do not depend on execution
     order.  ``exhaustive`` mode walks every nonzero form in coefficient-code
-    order with seed recorded as 0 and index equal to the code.
+    order with seed recorded as 0 and index equal to the code; it measures
+    each projective class once and copies the result to the scalar
+    multiples, whose ``elapsed_ms`` is the lookup time.
     """
     _validate_nbl(n, b, l)
     space = GradedSpace(field, n + 1, l, GradedSpace.HOMOGENEOUS)
     q = field.p
-    records = []
 
-    def measure(index, seed_val, form):
-        t0 = time.perf_counter()
-        dd = sing_dim_deg(form)
-        elapsed = round((time.perf_counter() - t0) * 1000)
-        records.append(
-            CensusRecord(
-                seed=seed_val,
-                index=index,
-                q=q,
-                n=n,
-                b=b,
-                l=l,
-                sing_dim=dd.projective_dim,
-                sing_deg=dd.degree,
-                elapsed_ms=elapsed,
-            )
+    def record(index, seed_val, dd, seconds):
+        return CensusRecord(
+            seed=seed_val,
+            index=index,
+            q=q,
+            n=n,
+            b=b,
+            l=l,
+            sing_dim=dd.projective_dim,
+            sing_deg=dd.degree,
+            elapsed_ms=round(seconds * 1000),
         )
 
     if mode == "exhaustive":
         check_cap(space.size(), cap, what="exhaustive census")
         seed = 0
-        for code, form in enumerate(space.iter_all()):
-            if form.is_zero:
-                continue
-            measure(code, 0, form)
+        records = [
+            record(code, 0, dd, seconds)
+            for code, dd, seconds in _class_walk(space, sing_dim_deg)
+        ]
     elif mode == "sample":
         if trials is None or trials < 1:
             raise ValidationError("sample mode needs trials >= 1")
         if seed is None:
             seed = fresh_seed()
+        records = []
         for index in range(trials):
-            rng = trial_rng(seed, index)
-            measure(index, seed, space.sample_nonzero(rng))
+            form = space.sample_nonzero(trial_rng(seed, index))
+            records.append(record(index, seed, *_timed(sing_dim_deg, form)))
     else:
         raise ValidationError(f"unknown census mode {mode!r}")
 
@@ -289,28 +337,27 @@ def squarefree_census(
     mismatches = 0
     checked = 0
 
-    def compare(form):
-        nonlocal mismatches, checked
-        checked += 1
+    # Both sides are invariant under scaling (c * G^2 H = G^2 (cH)), so the
+    # exhaustive walk may copy a representative's outcome to its multiples.
+    def mismatch(form):
         in_set = form.canonical_key() in reps
         deep = sing_dim_deg(form).projective_dim >= threshold
-        if in_set != deep:
-            mismatches += 1
+        return in_set != deep
 
     if mode == "exhaustive":
         check_cap(space.size(), cap, what="exhaustive square-free census")
         seed = 0
-        for form in space.iter_all():
-            if not form.is_zero:
-                compare(form)
+        for _, missed, _ in _class_walk(space, mismatch):
+            checked += 1
+            mismatches += missed
     elif mode == "sample":
         if trials is None or trials < 1:
             raise ValidationError("sample mode needs trials >= 1")
         if seed is None:
             seed = fresh_seed()
         for index in range(trials):
-            rng = trial_rng(seed, index)
-            compare(space.sample_nonzero(rng))
+            checked += 1
+            mismatches += mismatch(space.sample_nonzero(trial_rng(seed, index)))
     else:
         raise ValidationError(f"unknown census mode {mode!r}")
 

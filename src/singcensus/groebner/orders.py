@@ -55,7 +55,10 @@ class OrderContext:
     def key(self, exps) -> int:
         nv = self.nvars
         if self.order == GREVLEX:
-            k = sum(exps) << (SLOT * (nv - 1))
+            total = sum(exps)
+            if total > _FULL:
+                raise KernelCapacityError(f"degree {total} exceeds slot capacity")
+            k = total << (SLOT * (nv - 1))
             for j in range(1, nv):
                 k += (_FULL - exps[j]) << (SLOT * (j - 1))
             return k

@@ -2,8 +2,11 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singcensus.algebra.poly import GradedSpace
+from singcensus.algebra.field import PrimeField
+from singcensus.algebra.poly import GradedSpace, Poly, monomials_of_degree
 from singcensus.errors import CapExceeded, ValidationError
 from singcensus.experiments import (
     CSV_HEADER,
@@ -12,6 +15,7 @@ from singcensus.experiments import (
     squarefree_census,
     write_census_csv,
 )
+from singcensus.experiments.census import _class_walk
 from singcensus.groebner import sing_dim_deg
 
 
@@ -84,6 +88,49 @@ def test_exhaustive_census_tiny_case(F2):
         assert record.seed == 0
     assert summary.mode == "exhaustive"
     assert summary.trials == len(records)
+
+
+def test_class_walk_measures_each_projective_class_once(F5):
+    space = GradedSpace(F5, 3, 2, GradedSpace.HOMOGENEOUS)
+    mons = space.monomials
+    forms = list(space.iter_all())
+    measured = []
+
+    def measure(form):
+        measured.append(form)
+        return form.canonical_key()
+
+    codes = []
+    for code, rep_key, _ in _class_walk(space, measure):
+        form = forms[code]
+        top = max(i for i, m in enumerate(mons) if m in form.terms)
+        inverse = pow(form.terms[mons[top]], -1, 5)
+        assert rep_key == form.scale(inverse).canonical_key()
+        codes.append(code)
+    assert codes == list(range(1, 5**6)) and len(forms) == 5**6
+    classes = {
+        frozenset(f.scale(c).canonical_key() for c in range(1, 5)) for f in measured
+    }
+    assert len(measured) == len(classes) == (5**6 - 1) // 4
+
+
+@st.composite
+def cubic_surfaces(draw):
+    p = draw(st.sampled_from([5, 7]))
+    mons = monomials_of_degree(4, 3)
+    coeffs = draw(
+        st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons))
+        .filter(any)
+    )
+    return Poly.from_coeffs(PrimeField(p), mons, coeffs)
+
+
+@given(cubic_surfaces())
+@settings(max_examples=30, deadline=None)
+def test_sing_dim_deg_is_invariant_under_scaling(f):
+    dd = sing_dim_deg(f)
+    for c in range(2, f.field.p):
+        assert sing_dim_deg(f.scale(c)) == dd
 
 
 def test_exhaustive_census_respects_cap(F3):

@@ -253,6 +253,25 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
     assert "JSON" in err
 
 
+def test_non_integer_config_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"n": "abc", "b": 1, "l": 7, "p": 2}))
+    code, _, err = _run(capsys, ["bounds", "--config", str(cfg)])
+    assert code == 2
+    assert "n must be an integer" in err
+
+
+def test_non_integer_cap_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SINGCENSUS_CAP", "abc")
+    code, _, err = _run(
+        capsys,
+        ["census", "--n", "3", "--b", "1", "--l", "1", "--p", "2",
+         "--mode", "exhaustive"],
+    )
+    assert code == 2
+    assert "SINGCENSUS_CAP must be an integer" in err
+
+
 def test_cap_exceeded_exits_3(capsys):
     code, _, err = _run(
         capsys,

@@ -11,6 +11,7 @@ from singcensus.algebra.field import PrimeField
 from singcensus.algebra.poly import GradedSpace
 from singcensus.errors import KernelCapacityError
 from singcensus.groebner import MonomialOrder, buchberger, kernel, kernel_pure
+from singcensus.groebner.orders import ELIM0, GREVLEX, OrderContext
 
 fast_available = kernel._speedups is not None
 needs_fast = pytest.mark.skipif(not fast_available, reason="compiled kernel not built")
@@ -74,6 +75,15 @@ def test_dispatcher_falls_back_beyond_capacity():
     assert [sorted(g) for g in out] == [[((1,) * 9, 1)]]
     out = kernel.reduced_groebner([[((64, 0), 3)]], 2, 5, 0)
     assert [sorted(g) for g in out] == [[((64, 0), 1)]]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, ELIM0])
+def test_order_keys_guard_total_degree(order):
+    # each exponent fits its slot, but the degree overflows the 16-bit one
+    ctx = OrderContext(3, order)
+    ctx.key((0, 30000, 30000))
+    with pytest.raises(KernelCapacityError):
+        ctx.key((0, 30000, 40000))
 
 
 def test_kernel_name_reports_active_choice():
