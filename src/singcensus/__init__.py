@@ -10,7 +10,6 @@ randomized census with an exhaustive small-case mode.
 __version__ = "0.1.0"
 
 from .algebra import (
-    FieldElement,
     GradedSpace,
     Poly,
     PrimeField,
@@ -38,7 +37,6 @@ from .groebner import (
 __all__ = [
     "__version__",
     "PrimeField",
-    "FieldElement",
     "Poly",
     "GradedSpace",
     "parse_poly",

@@ -1,4 +1,4 @@
-from .field import FieldElement, PrimeField, is_prime
+from .field import PrimeField, is_prime
 from .poly import (
     GradedSpace,
     Poly,
@@ -7,12 +7,10 @@ from .poly import (
     monomials_of_degree,
     monomials_up_to_degree,
     parse_poly,
-    sample_graded,
 )
 
 __all__ = [
     "PrimeField",
-    "FieldElement",
     "is_prime",
     "Poly",
     "parse_poly",
@@ -21,5 +19,4 @@ __all__ = [
     "monomials_of_degree",
     "monomials_up_to_degree",
     "GradedSpace",
-    "sample_graded",
 ]

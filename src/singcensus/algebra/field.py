@@ -1,27 +1,41 @@
-"""Exact arithmetic in prime fields.
+"""Prime fields F_p.
 
-A PrimeField does integer arithmetic on canonical residues in [0, p); a
-FieldElement wraps one residue together with its field so that operator
-syntax is available where convenience beats speed.  Hot loops elsewhere in
-the package work on plain residues through the PrimeField methods.
+Arithmetic itself works on plain canonical residues in [0, p) wherever it is
+needed (polynomials, kernels, linear algebra); a PrimeField only certifies
+and carries the modulus.
 """
 
 from ..errors import ValidationError
 
+# Miller-Rabin with these bases decides primality for every n < 3.3 * 10**24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_ORDER = 1 << 64
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine at the sizes this package handles."""
+    """Deterministic Miller-Rabin for n < 2**64; larger n raise
+    ValidationError, as no field that large is in scope."""
+    if n >= _MAX_ORDER:
+        raise ValidationError(f"{n} is too large: field orders must be below 2**64")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -32,57 +46,8 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValidationError(f"field order must be prime, got {p}")
+            raise ValidationError(f"field order {p} is not prime")
         self.p = p
-
-    # -- residue arithmetic (plain ints in [0, p)) --
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        # pow() does square-and-multiply; negative e means inverse power
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a % self.p, e, self.p)
-
-    # -- element factory and misc --
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.p, self)
-
-    def elements(self):
-        """All residues 0..p-1 as plain ints."""
-        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -92,89 +57,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class FieldElement:
-    """A canonical residue bound to its field; supports field operators."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValidationError(
-                    f"mixed fields F_{self.field.p} and F_{other.field.p}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(self.value, v), self.field)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(v, self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"

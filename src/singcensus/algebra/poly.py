@@ -9,7 +9,7 @@ coefficient spaces with seeded uniform sampling.
 """
 
 from ..errors import ParseError, ValidationError
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 
 def grevlex_key(exps):
@@ -93,9 +93,6 @@ class Poly:
         """Terms in descending grevlex order."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def coefficient(self, exps) -> FieldElement:
-        return FieldElement(self.terms.get(tuple(exps), 0), self.field)
-
     def canonical_key(self):
         """Hashable identity (used for set membership in enumerations)."""
         return (self.field.p, self.nvars, tuple(sorted(self.terms.items())))
@@ -132,8 +129,6 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        if isinstance(other, FieldElement):
-            return self.scale(other.value)
         self._check_compatible(other)
         p = self.field.p
         out = {}
@@ -483,9 +478,3 @@ class GradedSpace:
 
     def size(self) -> int:
         return self.field.p ** len(self._monomials)
-
-
-def sample_graded(space: GradedSpace, rng) -> Poly:
-    """Uniform draw from a graded space (zero included; callers reject zero
-    when sampling projectively)."""
-    return space.sample(rng)

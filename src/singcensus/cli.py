@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .algebra.field import PrimeField, is_prime
+from .algebra.field import PrimeField
 from .algebra.poly import Poly, format_poly, infer_num_vars, parse_poly
 from .bounds import bounds_report, find_l0
 from .control import as_int, fresh_seed, trial_rng
@@ -134,8 +134,6 @@ def _emit(cfg: RunConfig, result, seed=None, out=None, stream=None) -> None:
 
 def _field_of(cfg: RunConfig) -> PrimeField:
     p = cfg.require_int("p")
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
     q = cfg.get_int("q")
     if q is not None and q != p:
         raise ValidationError(

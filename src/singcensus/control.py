@@ -7,7 +7,7 @@ from .errors import CapExceeded, ValidationError
 
 DEFAULT_CAP = 1 << 25
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 
 
 def as_int(name, value):
@@ -39,8 +39,13 @@ def check_cap(size, cap=None, what="enumeration"):
 
 
 def trial_rng(seed, index):
-    """Independent stream for one trial; schedule-independent by construction."""
-    return random.Random(((seed & _MASK64) << 32) ^ index)
+    """Independent stream for one trial; schedule-independent by construction.
+
+    Seeds must lie in [0, 2**64): outside it two seeds would share a stream.
+    """
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValidationError(f"seed must lie in [0, 2**64), not {seed}")
+    return random.Random((seed << 32) ^ index)
 
 
 def fresh_seed():

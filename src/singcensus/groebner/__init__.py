@@ -3,7 +3,6 @@ from .basis import (
     MonomialOrder,
     buchberger,
     ideal_membership,
-    normal_form,
 )
 from .hilbert import DimensionDegree
 from .ideals import (
@@ -22,7 +21,6 @@ __all__ = [
     "MonomialOrder",
     "DimensionDegree",
     "buchberger",
-    "normal_form",
     "ideal_membership",
     "affine_dimension",
     "projective_dimension_degree",

@@ -34,61 +34,52 @@ class MonomialOrder:
         return _ORDER_CODES[self.kind]
 
 
-def _to_terms(poly: Poly) -> List[Tuple[Tuple[int, ...], int]]:
-    return [(exps, c) for exps, c in poly.terms.items()]
-
-
-def _from_terms(terms, field: PrimeField, nvars: int) -> Poly:
-    return Poly(field, nvars, {tuple(exps): c for exps, c in terms})
-
-
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal in F_p[x0..x{nv-1}].
 
-    Canonical for the given order: equal ideals yield term-for-term equal
-    bases regardless of the generators handed in.  Immutable once built.
+    Holds the kernel's canonical output as is: one term list
+    [(exponent_tuple, coeff)] per element, terms descending in the basis's
+    own order, elements sorted by descending leading monomial, leading
+    coefficients 1.  Equal ideals yield equal term lists regardless of the
+    generators handed in.  Immutable once built.
     """
 
-    def __init__(self, generators: Sequence[Poly], order: MonomialOrder, field=None):
-        self.generators = list(generators)
+    def __init__(self, terms, order: MonomialOrder, field: PrimeField = None):
+        self.terms = terms
         self.order = order
-        self.field = self.generators[0].field if self.generators else field
-        self.reduced = True
-        for g in self.generators:
-            if g.nvars != order.num_vars:
-                raise ValidationError("generator/order variable-count mismatch")
+        self.field = field
 
     @property
     def nvars(self) -> int:
         return self.order.num_vars
 
+    @property
+    def generators(self) -> List[Poly]:
+        return [Poly(self.field, self.nvars, t) for t in self.terms]
+
     def normal_form(self, f: Poly) -> Poly:
         if f.nvars != self.nvars:
             raise ValidationError("polynomial has the wrong number of variables")
-        if not self.generators:
+        if not self.terms:
             return f
         if f.field != self.field:
             raise ValidationError("polynomial lives over a different prime field")
         raw = kernel.normal_form(
-            _to_terms(f),
-            [_to_terms(g) for g in self.generators],
-            self.nvars,
-            self.field.p,
-            self.order.code,
+            list(f.terms.items()), self.terms, self.nvars, self.field.p, self.order.code
         )
-        return _from_terms(raw, self.field, self.nvars)
+        return Poly(self.field, self.nvars, raw)
 
     def contains(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
 
     def is_unit_ideal(self) -> bool:
-        return any(g.degree() == 0 for g in self.generators)
+        return any(not any(lead) for lead in self.lead_exponents())
 
     def lead_exponents(self) -> List[Tuple[int, ...]]:
-        return [g.sorted_terms()[0][0] for g in self.generators]
+        return [t[0][0] for t in self.terms]
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.terms)
 
     def __iter__(self):
         return iter(self.generators)
@@ -96,7 +87,11 @@ class GroebnerBasis:
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return self.order == other.order and self.generators == other.generators
+        return (
+            self.order == other.order
+            and self.field == other.field
+            and self.terms == other.terms
+        )
 
 
 def buchberger(
@@ -126,13 +121,9 @@ def buchberger(
     elif order.num_vars != nvars:
         raise ValidationError("generator/order variable-count mismatch")
     raw = kernel.reduced_groebner(
-        [_to_terms(g) for g in gens], nvars, field.p, order.code
+        [list(g.terms.items()) for g in gens], nvars, field.p, order.code
     )
-    return GroebnerBasis([_from_terms(t, field, nvars) for t in raw], order)
-
-
-def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
-    return gb.normal_form(f)
+    return GroebnerBasis(raw, order, field)
 
 
 def ideal_membership(f: Poly, gb: GroebnerBasis) -> bool:

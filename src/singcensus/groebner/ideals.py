@@ -10,8 +10,6 @@ from .hilbert import DimensionDegree, dimension_degree_from_leads, staircase_dim
 
 def affine_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal."""
-    if gb.is_unit_ideal():
-        return -1
     return staircase_dimension(gb.lead_exponents(), gb.nvars)
 
 
@@ -27,17 +25,9 @@ def projective_dimension_degree(gens: Sequence[Poly]) -> DimensionDegree:
     for g in gens:
         if not g.is_homogeneous():
             raise ValidationError("generators must be homogeneous")
-    nonzero = [g for g in gens if not g.is_zero]
     nvars = gens[0].nvars
-    if not nonzero:
-        # zero ideal: all of projective space
-        leads = []
-    else:
-        gb = buchberger(nonzero)
-        if gb.is_unit_ideal():
-            return DimensionDegree(affine_dim=-1, projective_dim=-1, degree=0)
-        leads = gb.lead_exponents()
-    affine, degree = dimension_degree_from_leads(leads, nvars)
+    gb = buchberger(gens, MonomialOrder("grevlex", nvars))
+    affine, degree = dimension_degree_from_leads(gb.lead_exponents(), nvars)
     projective = max(affine - 1, -1)
     if projective < 0:
         degree = 0
@@ -93,11 +83,12 @@ def intersect_ideals(gens_a: Sequence[Poly], gens_b: Sequence[Poly]) -> List[Pol
     mixed = [t * _shift_up(g) for g in gens_a]
     mixed += [(one - t) * _shift_up(g) for g in gens_b]
     gb = buchberger(mixed, MonomialOrder("elim0", nvars + 1))
-    out = []
-    for g in gb:
-        if all(e[0] == 0 for e in g.terms):
-            out.append(Poly(field, nvars, {e[1:]: c for e, c in g.terms.items()}))
-    return out
+    # elim0 puts the highest power of t in the lead: t-free iff the lead is
+    return [
+        Poly(field, nvars, [(e[1:], c) for e, c in terms])
+        for terms in gb.terms
+        if terms[0][0][0] == 0
+    ]
 
 
 def intersect_many(ideals: Sequence[Sequence[Poly]]) -> List[Poly]:

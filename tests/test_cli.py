@@ -234,6 +234,37 @@ def test_nonprime_field_exits_2(capsys):
     assert "not prime" in err
 
 
+def test_field_order_beyond_64_bits_exits_2(capsys):
+    code, _, err = _run(
+        capsys, ["singdim", "x0^2", "--p", "18446744073709551629", "--nvars", "2"]
+    )
+    assert code == 2
+    assert "2**64" in err
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551621", "-1"])
+def test_seed_outside_64_bits_exits_2(capsys, seed):
+    code, out, err = _run(
+        capsys,
+        ["census", "--n", "3", "--b", "1", "--l", "2", "--p", "2",
+         "--trials", "2", "--seed", seed],
+    )
+    assert code == 2
+    assert "seed" in err
+    assert out == ""
+
+
+def test_largest_seed_still_runs(capsys):
+    code, out, err = _run(
+        capsys,
+        ["census", "--n", "3", "--b", "1", "--l", "2", "--p", "2",
+         "--trials", "2", "--seed", "18446744073709551615"],
+    )
+    assert code == 0, err
+    assert json.loads(err)["seed"] == 2**64 - 1
+    assert len(out.strip().splitlines()) == 3
+
+
 def test_bad_config_file_exits_2(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = _run(

@@ -1,11 +1,20 @@
-import random
+import time
 
 import pytest
 
-from singcensus.algebra.field import FieldElement, PrimeField, is_prime
+from singcensus.algebra.field import PrimeField, is_prime
 from singcensus.errors import ValidationError
 
-PRIMES = [2, 3, 5, 7, 31, 101]
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def test_is_prime_small_values():
@@ -26,81 +35,29 @@ def test_nonprime_order_rejected():
             PrimeField(bad)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_residue_arithmetic_matches_integers(p):
-    F = PrimeField(p)
-    rng = random.Random(p)
-    for _ in range(200):
-        a, b = rng.randrange(-3 * p, 3 * p), rng.randrange(-3 * p, 3 * p)
-        assert F.add(a, b) == (a + b) % p
-        assert F.sub(a, b) == (a - b) % p
-        assert F.mul(a, b) == (a * b) % p
-        assert F.neg(a) == (-a) % p
-        assert F.reduce(a) == a % p
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_every_nonzero_residue_inverts(p):
-    F = PrimeField(p)
-    for a in range(1, p):
-        inv = F.inv(a)
-        assert 0 < inv < p
-        assert F.mul(a, inv) == 1
-        assert F.div(1, a) == inv
+def test_is_prime_near_the_64_bit_limit():
+    # strong pseudoprime to every prime base below 37
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**64 - 59)  # largest prime below 2**64
+    assert not is_prime(2**64 - 1)
+    for too_big in (2**64, 2**64 + 13):
+        with pytest.raises(ValidationError):
+            is_prime(too_big)
 
 
-def test_zero_has_no_inverse():
-    F = PrimeField(7)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        F.div(3, 7)  # 7 reduces to 0
-
-
-@pytest.mark.parametrize("p", [3, 7, 31])
-def test_pow_including_negative_exponents(p):
-    F = PrimeField(p)
-    for a in range(1, p):
-        assert F.pow(a, 0) == 1
-        assert F.pow(a, p - 1) == 1  # Fermat
-        assert F.pow(a, -1) == F.inv(a)
-        assert F.pow(a, -3) == F.pow(F.inv(a), 3)
-
-
-def test_elements_enumerates_all_residues():
-    F = PrimeField(11)
-    assert list(F.elements()) == list(range(11))
+def test_large_prime_field_builds_at_once():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_equality_and_hash():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7)
     assert len({PrimeField(5), PrimeField(5), PrimeField(7)}) == 2
-
-
-def test_element_operator_algebra():
-    F = PrimeField(7)
-    a, b = F(3), F(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a / b).value == F.div(3, 5)
-    assert (-a).value == 4
-    assert (a**6).value == 1
-    assert (2 + a).value == 5  # int coercion both sides
-    assert (2 * b).value == 3
-    assert a == F(10) and a != b
-
-
-def test_mixed_field_elements_rejected():
-    a = PrimeField(5)(2)
-    b = PrimeField(7)(2)
-    with pytest.raises(ValidationError):
-        _ = a + b
-
-
-def test_element_is_canonical_residue():
-    F = PrimeField(5)
-    assert F(12).value == 2
-    assert F(-1).value == 4
-    assert isinstance(F(3), FieldElement)

@@ -22,6 +22,7 @@ from singcensus.groebner.hilbert import (
     hilbert_numerator,
     staircase_dimension,
 )
+from singcensus.groebner.orders import OrderContext
 
 
 def _polys(texts, nvars, field):
@@ -31,11 +32,11 @@ def _polys(texts, nvars, field):
 def _spoly_normal_forms_vanish(gb):
     """Buchberger criterion, checked post-hoc at the polynomial level."""
     gens = list(gb)
+    leads = gb.lead_exponents()
     for i in range(len(gens)):
         for j in range(i):
             f, g = gens[i], gens[j]
-            lf = f.sorted_terms()[0][0]
-            lg = g.sorted_terms()[0][0]
+            lf, lg = leads[i], leads[j]
             lcm = tuple(max(a, b) for a, b in zip(lf, lg))
             mf = Poly(f.field, f.nvars, {tuple(l - a for l, a in zip(lcm, lf)): 1})
             mg = Poly(g.field, g.nvars, {tuple(l - a for l, a in zip(lcm, lg)): 1})
@@ -119,6 +120,37 @@ def test_lex_order_eliminates(F5):
     gb = buchberger(gens, "lex")
     assert _spoly_normal_forms_vanish(gb)
     assert any(all(e[0] == 0 for e in g.terms) for g in gb)
+
+
+def test_lead_exponents_follow_the_basis_order(F5):
+    f = parse_poly("x0 + x1^2", 2, F5)
+    assert buchberger([f], "lex").lead_exponents() == [(1, 0)]
+    assert buchberger([f], "grevlex").lead_exponents() == [(0, 2)]
+
+
+def test_affine_dimension_agrees_across_orders(F5):
+    gens = _polys(["x0 - x1^2", "x0*x2 - x1^3"], 3, F5)
+    assert affine_dimension(buchberger(gens, "grevlex")) == 1
+    assert affine_dimension(buchberger(gens, "lex")) == 1
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "elim0"])
+def test_basis_terms_descend_in_their_own_order(F3, rng, kind):
+    space = GradedSpace(F3, 3, 2, GradedSpace.AT_MOST)
+    for _ in range(15):
+        gens = [space.sample_nonzero(rng) for _ in range(rng.randrange(1, 4))]
+        order = MonomialOrder(kind, 3)
+        gb = buchberger(gens, order)
+        key = OrderContext(3, order.code).key
+        for terms, lead in zip(gb.terms, gb.lead_exponents()):
+            keys = [key(e) for e, _ in terms]
+            assert keys == sorted(keys, reverse=True)
+            assert lead == max((e for e, _ in terms), key=key)
+            assert terms[0][1] == 1
+        assert [key(l) for l in gb.lead_exponents()] == sorted(
+            (key(l) for l in gb.lead_exponents()), reverse=True
+        )
+        assert affine_dimension(gb) == affine_dimension(buchberger(gens))
 
 
 # ---------------------------------------------------------- intersections
