@@ -1,27 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernel is optional: if Cython or a C toolchain is missing the
-# build degrades to the pure-Python kernel selected at import time.
-try:
-    if not os.path.exists("src/singcensus/groebner/_speedups.pyx"):
-        raise ImportError
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "singcensus.groebner._speedups",
-                ["src/singcensus/groebner/_speedups.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-    for ext in extensions:
-        ext.optional = True
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+# The compiled kernel is optional: without a C toolchain the build skips it
+# and the package runs on the pure-Python kernel.  _speedups.c is generated
+# from _speedups.pyx by `cython -3 src/singcensus/groebner/_speedups.pyx`.
+setup(
+    ext_modules=[
+        Extension(
+            "singcensus.groebner._speedups",
+            ["src/singcensus/groebner/_speedups.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

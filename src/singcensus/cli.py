@@ -75,7 +75,6 @@ _FLAG_KEYS = (
     "l",
     "p",
     "q",
-    "m",
     "d",
     "trials",
     "seed",
@@ -130,6 +129,15 @@ def _emit(cfg: RunConfig, result, seed=None, out=None, stream=None) -> None:
             fh.write(text)
     else:
         (stream or sys.stdout).write(text)
+
+
+def _int_list(key, value) -> tuple:
+    """A JSON list of integers as a tuple, or a ValidationError naming ``key``."""
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ValidationError(f"config key {key!r} must be a list of integers, not {value!r}")
+    return tuple(value)
 
 
 def _field_of(cfg: RunConfig) -> PrimeField:
@@ -242,11 +250,16 @@ def _cmd_speccodim(cfg: RunConfig) -> int:
             raise ValidationError(
                 "provide member planes via --random D or config key 'points'"
             )
+        if not isinstance(points, list):
+            raise ValidationError(f"config key 'points' must be a list of lists, not {points!r}")
+        infinity = cfg.get("infinity", False)
+        if not isinstance(infinity, bool):
+            raise ValidationError(f"config key 'infinity' must be true or false, not {infinity!r}")
         config = LinearConfig(
             n,
             b,
-            tuple(tuple(pt) for pt in points),
-            bool(cfg.get("infinity", False)),
+            tuple(_int_list(f"points[{i}]", pt) for i, pt in enumerate(points)),
+            infinity,
         )
     report = union_vanishing_codim(config, l, field_)
     result = report.to_json_dict()
@@ -262,6 +275,8 @@ def _cmd_dhcount(cfg: RunConfig) -> int:
     z_texts = cfg.get("Z")
     if not z_texts:
         raise ValidationError("config key 'Z' (list of generator strings) is required")
+    if not isinstance(z_texts, list) or not all(isinstance(t, str) for t in z_texts):
+        raise ValidationError(f"config key 'Z' must be a list of strings, not {z_texts!r}")
     nv_candidates = [infer_num_vars(t) for t in z_texts]
     nvars = cfg.get_int("nvars") or max(nv_candidates)
     z_gens = [parse_poly(t, nvars, field_) for t in z_texts]
@@ -304,8 +319,9 @@ def _cmd_witness(cfg: RunConfig) -> int:
     point = cfg.get("P")
     if point is None:
         raise ValidationError("config key 'P' (point coordinates) is required")
+    point = _int_list("P", point)
     char_case = cfg.get("char_case", "two" if field_.p == 2 else "odd")
-    res = jacobian_witness(n, b, l, d, f, tuple(point), char_case)
+    res = jacobian_witness(n, b, l, d, f, point, char_case)
     result = {
         "F": format_poly(res.F),
         "jacobian": [list(row) for row in res.jacobian],
@@ -345,7 +361,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--l", type=int)
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--m", type=int)
     sp.add_argument("--d", type=int)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
@@ -377,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         "en-experiment": "sampled frequency of the derivative-locus proxies",
     }
     for name, desc in descriptions.items():
-        sp = sub.add_parser(name, help=desc, description=desc)
+        # no prefix matching: a removed flag must not resolve to another one
+        sp = sub.add_parser(name, help=desc, description=desc, allow_abbrev=False)
         _add_common(sp)
         if name == "singdim":
             sp.add_argument("text", help="polynomial, e.g. 'x0^2*x1 + x2^3'")

@@ -93,6 +93,11 @@ def _validate_nbl(n: int, b: int, l: int) -> None:
         raise ValidationError("l >= 1 required")
 
 
+def _reject_exhaustive_seed(mode: str, seed) -> None:
+    if mode == "exhaustive" and seed is not None:
+        raise ValidationError("exhaustive mode walks every form and takes no seed")
+
+
 def _timed(measure, form):
     """(measure(form), seconds it took)."""
     t0 = time.perf_counter()
@@ -157,12 +162,13 @@ def census(
 
     ``sample`` mode draws ``trials`` nonzero forms, each from its own
     (seed, index) random stream, so results do not depend on execution
-    order.  ``exhaustive`` mode walks every nonzero form in coefficient-code
-    order with seed recorded as 0 and index equal to the code; it measures
-    each projective class once and copies the result to the scalar
-    multiples, whose ``elapsed_ms`` is the lookup time.
+    order.  ``exhaustive`` mode takes no seed: it walks every nonzero form
+    in coefficient-code order with seed recorded as 0 and index equal to
+    the code; it measures each projective class once and copies the result
+    to the scalar multiples, whose ``elapsed_ms`` is the lookup time.
     """
     _validate_nbl(n, b, l)
+    _reject_exhaustive_seed(mode, seed)
     space = GradedSpace(field, n + 1, l, GradedSpace.HOMOGENEOUS)
     q = field.p
 
@@ -322,10 +328,12 @@ def squarefree_census(
 
     Every enumerated square multiple is verified to have a singular locus
     of dimension at least n-1; then sampled (or all) nonzero forms are
-    tested both ways and disagreements counted.
+    tested both ways and disagreements counted.  ``exhaustive`` mode takes
+    no seed.
     """
     if n < 3:
         raise ValidationError("n >= 3 required")
+    _reject_exhaustive_seed(mode, seed)
     reps, pair_count, fibers = square_multiple_set(n, l, field, cap=cap)
     threshold = n - 1
     member_violations = 0

@@ -1,12 +1,9 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: compiled extension when it is built, pure Python otherwise.
 
-SINGCENSUS_KERNEL=pure|fast|auto overrides the choice.  The compiled kernel
-covers up to 8 variables with per-variable degrees below 64; anything larger
-raises KernelCapacityError and the call is transparently retried in pure
-Python.
+The compiled kernel covers up to 8 variables with per-variable degrees below
+64; anything larger raises KernelCapacityError and the call is transparently
+retried in pure Python.
 """
-
-import os
 
 from ..errors import KernelCapacityError
 from . import kernel_pure
@@ -16,21 +13,13 @@ try:
 except ImportError:  # extension not built; pure fallback
     _speedups = None
 
-_choice = os.environ.get("SINGCENSUS_KERNEL", "auto").lower()
-if _choice not in ("auto", "fast", "pure"):
-    raise RuntimeError(f"SINGCENSUS_KERNEL must be auto, fast or pure, not {_choice!r}")
-if _choice == "fast" and _speedups is None:
-    raise RuntimeError("SINGCENSUS_KERNEL=fast but the compiled kernel is not built")
-
-_use_fast = _speedups is not None and _choice in ("auto", "fast")
-
 
 def kernel_name() -> str:
-    return "fast" if _use_fast else "pure"
+    return "fast" if _speedups is not None else "pure"
 
 
 def reduced_groebner(gens, nvars, p, order=0):
-    if _use_fast:
+    if _speedups is not None:
         try:
             return _speedups.reduced_groebner(gens, nvars, p, order)
         except KernelCapacityError:
@@ -39,7 +28,7 @@ def reduced_groebner(gens, nvars, p, order=0):
 
 
 def normal_form(f, basis, nvars, p, order=0):
-    if _use_fast:
+    if _speedups is not None:
         try:
             return _speedups.normal_form(f, basis, nvars, p, order)
         except KernelCapacityError:

@@ -138,6 +138,15 @@ def test_exhaustive_census_respects_cap(F3):
         census(3, 1, 2, F3, mode="exhaustive", cap=100)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_exhaustive_modes_reject_a_seed(F2, seed):
+    # the walk never reads a seed, so accepting one would record a lie
+    with pytest.raises(ValidationError, match="takes no seed"):
+        census(3, 1, 1, F2, mode="exhaustive", seed=seed)
+    with pytest.raises(ValidationError, match="takes no seed"):
+        squarefree_census(3, 2, F2, mode="exhaustive", seed=seed)
+
+
 # ------------------------------------------------------------------ output
 
 

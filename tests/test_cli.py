@@ -292,6 +292,48 @@ def test_non_integer_config_value_exits_2(capsys, tmp_path):
     assert "n must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["speccodim", "--n", "3", "--b", "1", "--l", "2", "--p", "2"],
+         {"points": "ab"}, "points"),
+        (["dhcount", "--p", "2"], {"Z": [1]}, "Z"),
+        (["witness", "x2", "--n", "3", "--b", "1", "--l", "4", "--d", "1",
+          "--p", "2"], {"P": "xy"}, "P"),
+        (["speccodim", "--n", "3", "--b", "1", "--l", "2", "--p", "2"],
+         {"points": [[0, 0]], "infinity": "no"}, "infinity"),
+    ],
+    ids=["points", "Z", "P", "infinity"],
+)
+def test_config_value_of_wrong_json_type_exits_2(capsys, tmp_path, argv, config, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 2
+    assert f"config key {key!r}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "5"])
+def test_exhaustive_census_with_a_seed_exits_2(capsys, seed):
+    code, out, err = _run(
+        capsys,
+        ["census", "--n", "3", "--b", "1", "--l", "2", "--p", "2",
+         "--mode", "exhaustive", "--seed", seed],
+    )
+    assert code == 2
+    assert "takes no seed" in err
+    assert out == ""
+
+
+def test_unread_m_flag_is_gone(capsys):
+    # not even as a prefix of --mode, which would turn "--m 5" into "--mode 5"
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "3", "--b", "1", "--l", "7", "--p", "2", "--m", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --m 5" in capsys.readouterr().err
+
+
 def test_non_integer_cap_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("SINGCENSUS_CAP", "abc")
     code, _, err = _run(

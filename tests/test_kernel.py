@@ -1,9 +1,15 @@
 """Parity and fallback behavior of the two basis kernels."""
 
+import importlib.util
 import os
 import random
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +19,57 @@ from singcensus.errors import KernelCapacityError
 from singcensus.groebner import MonomialOrder, buchberger, kernel, kernel_pure
 from singcensus.groebner.orders import ELIM0, GREVLEX, OrderContext
 
-fast_available = kernel._speedups is not None
-needs_fast = pytest.mark.skipif(not fast_available, reason="compiled kernel not built")
+ROOT = Path(__file__).resolve().parents[1]
+KERNEL_DIR = ROOT / "src" / "singcensus" / "groebner"
+
+
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    """The compiled kernel: the one the package loaded, else the shipped C
+    built by setup.py into a temporary directory (nothing is written to the
+    checkout).  Skips only when there is no C compiler."""
+    if kernel._speedups is not None:
+        return kernel._speedups
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
+    tmp = tmp_path_factory.mktemp("speedups")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "obj")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    built = sorted((tmp / "lib").rglob("_speedups*" + suffix))
+    assert built, f"building _speedups.c failed:\n{build.stdout}{build.stderr}"
+    spec = importlib.util.spec_from_file_location(
+        "singcensus.groebner._speedups", built[0]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_c_matches_the_pyx():
+    # Cython quotes every source line it compiles in a comment block headed
+    # by the .pyx line number and marks that line; a .pyx edit without
+    # regenerating the C shows up as a mismatch here.
+    pyx = (KERNEL_DIR / "_speedups.pyx").read_text().splitlines()
+    c_lines = (KERNEL_DIR / "_speedups.c").read_text().splitlines()
+    head = re.compile(r'\s*/\* "singcensus/groebner/_speedups\.pyx":(\d+)$')
+    mark = "# <<<<<<<<<<<<<<"
+    checked = 0
+    for at, line in enumerate(c_lines):
+        m = head.match(line)
+        if not m:
+            continue
+        lineno = int(m.group(1))
+        quoted = next(q for q in c_lines[at + 1:] if q.endswith(mark) or q == "*/")
+        assert quoted.endswith(mark), f"no marked line in the block for line {lineno}"
+        source = quoted[: -len(mark)].rstrip().removeprefix(" * ")
+        assert source == pyx[lineno - 1].rstrip(), lineno
+        checked += 1
+    assert checked > 0
 
 
 def _random_ideal_terms(p, nvars, rng):
@@ -24,26 +79,24 @@ def _random_ideal_terms(p, nvars, rng):
     return [list(g.terms.items()) for g in gens]
 
 
-@needs_fast
 @pytest.mark.parametrize("p", [2, 5, 31])
-def test_kernels_agree_on_random_ideals(p):
+def test_kernels_agree_on_random_ideals(fast, p):
     rng = random.Random(p * 7)
     for _ in range(40):
         nvars = rng.randrange(2, 5)
         gens = _random_ideal_terms(p, nvars, rng)
         for order in (0, 1):
             try:
-                fast = kernel._speedups.reduced_groebner(gens, nvars, p, order)
+                got = fast.reduced_groebner(gens, nvars, p, order)
             except KernelCapacityError:
                 # intermediate degree blow-up (lex, mostly): the dispatcher
                 # would fall back to pure here, so there is nothing to compare
                 continue
             pure = kernel_pure.reduced_groebner(gens, nvars, p, order)
-            assert fast == pure
+            assert got == pure
 
 
-@needs_fast
-def test_kernels_agree_on_normal_forms():
+def test_kernels_agree_on_normal_forms(fast):
     p, nvars = 5, 3
     rng = random.Random(17)
     field = PrimeField(p)
@@ -52,21 +105,20 @@ def test_kernels_agree_on_normal_forms():
         gens = _random_ideal_terms(p, nvars, rng)
         basis = kernel_pure.reduced_groebner(gens, nvars, p, 0)
         f = list(space.sample_nonzero(rng).terms.items())
-        fast = kernel._speedups.normal_form(f, basis, nvars, p, 0)
+        got = fast.normal_form(f, basis, nvars, p, 0)
         pure = kernel_pure.normal_form(f, basis, nvars, p, 0)
-        assert fast == pure
+        assert got == pure
 
 
-@needs_fast
-def test_fast_kernel_capacity_limits():
+def test_fast_kernel_capacity_limits(fast):
     # 9 variables exceed the packed-key width
     gens = [[((1,) * 9, 1)]]
     with pytest.raises(KernelCapacityError):
-        kernel._speedups.reduced_groebner(gens, 9, 5, 0)
+        fast.reduced_groebner(gens, 9, 5, 0)
     # per-variable exponent 64 exceeds the 6-bit field
     gens = [[((64, 0), 1)]]
     with pytest.raises(KernelCapacityError):
-        kernel._speedups.reduced_groebner(gens, 2, 5, 0)
+        fast.reduced_groebner(gens, 2, 5, 0)
 
 
 def test_dispatcher_falls_back_beyond_capacity():
@@ -87,34 +139,7 @@ def test_order_keys_guard_total_degree(order):
 
 
 def test_kernel_name_reports_active_choice():
-    assert kernel.kernel_name() in ("fast", "pure")
-    choice = os.environ.get("SINGCENSUS_KERNEL", "auto").lower()
-    if fast_available and choice in ("auto", "fast"):
-        assert kernel.kernel_name() == "fast"
-    if choice == "pure":
-        assert kernel.kernel_name() == "pure"
-
-
-def test_env_var_forces_pure_kernel():
-    env = dict(os.environ, SINGCENSUS_KERNEL="pure")
-    code = "from singcensus.groebner import kernel_name; print(kernel_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure"
-
-
-def test_env_var_rejects_unknown_choice():
-    env = dict(os.environ, SINGCENSUS_KERNEL="turbo")
-    out = subprocess.run(
-        [sys.executable, "-c", "import singcensus.groebner"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "SINGCENSUS_KERNEL" in out.stderr
+    assert kernel.kernel_name() == ("fast" if kernel._speedups else "pure")
 
 
 def test_shuffled_generators_same_reduced_basis():
