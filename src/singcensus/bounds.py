@@ -8,28 +8,15 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .algebra.field import is_prime
-from .control import rational_json
+from .control import JsonReport, check_nb, check_prime, check_q_is_p
 from .errors import InternalCheckError, ValidationError
 
 L0_CEILING = 10**4
 
 
-def _validate_nb(n: int, b: int) -> None:
-    if n < 3:
-        raise ValidationError("n >= 3 required")
-    if not 1 <= b <= n - 1:
-        raise ValidationError("1 <= b <= n-1 required")
-
-
-def _validate_prime(p: int, name: str = "p") -> None:
-    if not is_prime(p):
-        raise ValidationError(f"{name} must be prime, got {p}")
-
-
 def a_nb(n: int, b: int, l: int) -> int:
     """Codimension count of the b-dimensional-singular-locus stratum."""
-    _validate_nb(n, b)
+    check_nb(n, b)
     if l < 1:
         raise ValidationError("l >= 1 required")
     return comb(l + b, b) + (n - b) * comb(l - 1 + b, b) + 1 - (b + 1) * (n - b)
@@ -56,7 +43,7 @@ def tau(l: int, p: int) -> int:
     """Largest t with t*p < l, i.e. floor((l-1)/p)."""
     if l < 1:
         raise ValidationError("l >= 1 required")
-    _validate_prime(p)
+    check_prime(p)
     return (l - 1) // p
 
 
@@ -104,8 +91,8 @@ def find_l0(
     Covers the large-degree condition only; the full threshold also needs an
     externally supplied ingredient (see BoundsReport.s1_l0).
     """
-    _validate_nb(n, b)
-    _validate_prime(p)
+    check_nb(n, b)
+    check_prime(p)
     if window < 1:
         raise ValidationError("window >= 1 required")
     if ceiling < 2:
@@ -145,10 +132,10 @@ def prob_En_lower(n: int, b: int, l: int, p: int, q: int) -> Fraction:
     """Exact lower bound for the good-behavior event: product of
     (1 - (l-1)^i / q^C(tau+b+1, b+1)) over i = 0..n-b-1, times
     (1 - (l-1)^(n-b) / q^A_b(tau, m'))."""
-    _validate_nb(n, b)
+    check_nb(n, b)
     if l < 1:
         raise ValidationError("l >= 1 required")
-    _validate_prime(p)
+    check_prime(p)
     if q < 2:
         raise ValidationError("q >= 2 required")
     t = tau(l, p)
@@ -176,8 +163,8 @@ def noneffective_params(n: int, b: int, p: int) -> Tuple[int, int]:
     """Parameter pair (B, m) = (p^b*(n-b+1), B+1) for the non-effective
     variant; verifies the exact leading-coefficient inequality
     m / (p^b * b!) > (n-b+1) / b!."""
-    _validate_nb(n, b)
-    _validate_prime(p)
+    check_nb(n, b)
+    check_prime(p)
     B = p**b * (n - b + 1)
     m = B + 1
     lhs = Fraction(m, p**b)
@@ -190,7 +177,7 @@ def noneffective_params(n: int, b: int, p: int) -> Tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(JsonReport):
     """Every closed-form quantity for one (n, b, l, p, q), ready for JSON."""
 
     n: int
@@ -211,27 +198,6 @@ class BoundsReport:
     s1_l0: Optional[int] = None
     advisory: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "b": self.b,
-            "l": self.l,
-            "p": self.p,
-            "q": self.q,
-            "tau": self.tau,
-            "m": self.m,
-            "m_prime": self.m_prime,
-            "a_nb": self.a_nb,
-            "dim_X1": self.dim_X1,
-            "A_table": {str(k): v for k, v in sorted(self.A_table.items())},
-            "bezout": self.bezout,
-            "prob_En_lower": rational_json(self.prob_En_lower),
-            "hypothesis_ok": self.hypothesis_ok,
-            "l0_large_d": self.l0_large_d,
-            "s1_l0": self.s1_l0,
-            "advisory": self.advisory,
-        }
-
 
 def bounds_report(
     n: int,
@@ -244,16 +210,11 @@ def bounds_report(
 ) -> BoundsReport:
     """Assemble the full report.  q must equal p: the package works over
     prime fields only, so the counting field size is the characteristic."""
-    _validate_nb(n, b)
+    check_nb(n, b)
     if l < 2:
         raise ValidationError("l >= 2 required for the report")
-    _validate_prime(p)
-    _validate_prime(q, "q")
-    if q != p:
-        raise ValidationError(
-            "q must equal p: prime fields only, so the field size is the "
-            "characteristic"
-        )
+    check_prime(p)
+    check_q_is_p(p, q)
     t = tau(l, p)
     table = {m: A_b(t, m, b) for m in range(1, t + 2)}
     try:

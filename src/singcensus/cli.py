@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .algebra.field import PrimeField
-from .algebra.poly import Poly, format_poly, infer_num_vars, parse_poly
+from .algebra.poly import format_poly, infer_num_vars, parse_poly
 from .bounds import bounds_report, find_l0
-from .control import as_int, fresh_seed, trial_rng
+from .control import as_int, check_q_is_p, fresh_seed, trial_rng
 from .errors import CapExceeded, InternalCheckError, ValidationError
 from .experiments import (
     LinearConfig,
@@ -48,68 +48,122 @@ class RunConfig:
         return self.values.get(key, default)
 
     def require(self, key):
-        if self.values.get(key) is None:
+        if key not in self.values:
             raise ValidationError(f"--{key} (or config key {key!r}) is required")
         return self.values[key]
 
-    def require_int(self, key):
-        return as_int(key, self.require(key))
-
-    def get_int(self, key, default=None):
-        value = self.values.get(key)
-        return default if value is None else as_int(key, value)
-
     def to_json_dict(self):
-        out = {}
-        for k in sorted(self.values):
-            v = self.values[k]
-            if v is None:
-                continue
-            out[k] = v
-        return out
+        return dict(sorted(self.values.items()))
 
 
-_FLAG_KEYS = (
-    "n",
-    "b",
-    "l",
-    "p",
-    "q",
-    "d",
-    "trials",
-    "seed",
-    "window",
-    "mode",
-    "cap",
-    "nvars",
-    "format",
-)
+def _typed(what, ok):
+    """Check for a config value of one JSON shape; returned as given."""
+
+    def check(key, value):
+        if not ok(value):
+            raise ValidationError(f"config key {key!r} must be {what}, not {value!r}")
+        return value
+
+    return check
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value):
+    return isinstance(value, str)
+
+
+class _OneOf:
+    """Check for a key whose value must be one of a few words; its flag
+    takes the same words as argparse choices."""
+
+    def __init__(self, *options):
+        self.options = options
+
+    def __call__(self, key, value):
+        if value not in self.options:
+            raise ValidationError(
+                f"config key {key!r} must be one of {', '.join(self.options)}, "
+                f"not {value!r}"
+            )
+        return value
+
+
+_text = _typed("a string", _is_str)
+
+# The common --flags of every subcommand: integers, or one of a few words.
+_FLAG_CHECKS = {
+    "n": as_int,
+    "b": as_int,
+    "l": as_int,
+    "p": as_int,
+    "q": as_int,
+    "d": as_int,
+    "trials": as_int,
+    "seed": as_int,
+    "window": as_int,
+    "mode": _OneOf("sample", "exhaustive"),
+    "cap": as_int,
+    "nvars": as_int,
+    "format": _OneOf("csv", "json"),
+}
+
+# Every key a subcommand reads, from a flag or the config file, with the
+# check its value passes once in _resolve.  Unknown config keys pass
+# through unchecked and are echoed as given.
+_KEYS = {
+    **_FLAG_CHECKS,
+    "tau": as_int,
+    "hidden": as_int,
+    "random": as_int,
+    "s1_l0": as_int,
+    "text": _text,
+    "f": _text,
+    "F0": _text,
+    "char_case": _text,
+    "out": _text,
+    "points": _typed("a list of integer lists", _list_of(_list_of(_is_int))),
+    "P": _typed("a list of integers", _list_of(_is_int)),
+    "Z": _typed("a list of strings", _list_of(_is_str)),
+    "infinity": _typed("true or false", lambda value: isinstance(value, bool)),
+}
+
+
+def _load_config(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValidationError("config file must hold a JSON object")
+    return loaded
 
 
 def _resolve(args) -> RunConfig:
-    """Merge the config file under the flags; flags override file values."""
-    values = {}
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
-        values.update(loaded)
-    for key in _FLAG_KEYS:
+    """Merge the config file under the flags (flags win) and run each known
+    key's value through its check; a null value counts as unset."""
+    values = _load_config(args.config) if args.config else {}
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    for key in ("text", "out", "random"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return RunConfig(command=args.cmd, values=values)
+    return RunConfig(
+        command=args.cmd,
+        values={
+            key: _KEYS[key](key, value) if key in _KEYS else value
+            for key, value in values.items()
+            if value is not None
+        },
+    )
 
 
 def _emit(cfg: RunConfig, result, seed=None, out=None, stream=None) -> None:
@@ -131,50 +185,30 @@ def _emit(cfg: RunConfig, result, seed=None, out=None, stream=None) -> None:
         (stream or sys.stdout).write(text)
 
 
-def _int_list(key, value) -> tuple:
-    """A JSON list of integers as a tuple, or a ValidationError naming ``key``."""
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ValidationError(f"config key {key!r} must be a list of integers, not {value!r}")
-    return tuple(value)
-
-
 def _field_of(cfg: RunConfig) -> PrimeField:
-    p = cfg.require_int("p")
-    q = cfg.get_int("q")
-    if q is not None and q != p:
-        raise ValidationError(
-            "q must equal p: prime fields only in this implementation"
-        )
+    p = cfg.require("p")
+    check_q_is_p(p, cfg.get("q", p))
     return PrimeField(p)
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
-    n = cfg.require_int("n")
-    b = cfg.require_int("b")
-    l = cfg.require_int("l")
-    p = cfg.require_int("p")
-    q = cfg.get_int("q", p)
+    p = cfg.require("p")
     report = bounds_report(
-        n,
-        b,
-        l,
+        cfg.require("n"),
+        cfg.require("b"),
+        cfg.require("l"),
         p,
-        q,
+        cfg.get("q", p),
         s1_l0=cfg.get("s1_l0"),
-        window=cfg.get_int("window", 50),
+        window=cfg.get("window", 50),
     )
     _emit(cfg, report.to_json_dict(), out=cfg.get("out"))
     return 0
 
 
 def _cmd_l0(cfg: RunConfig) -> int:
-    n = cfg.require_int("n")
-    b = cfg.require_int("b")
-    p = cfg.require_int("p")
-    window = cfg.get_int("window", 50)
-    value = find_l0(n, b, p, window=window)
+    n, b, p = cfg.require("n"), cfg.require("b"), cfg.require("p")
+    value = find_l0(n, b, p, window=cfg.get("window", 50))
     if cfg.get("format") == "json":
         _emit(cfg, {"l0_large_d": value}, out=cfg.get("out"))
     else:
@@ -191,7 +225,7 @@ def _cmd_l0(cfg: RunConfig) -> int:
 def _cmd_singdim(cfg: RunConfig) -> int:
     text = cfg.require("text")
     field_ = _field_of(cfg)
-    nvars = cfg.get_int("nvars", infer_num_vars(text))
+    nvars = cfg.get("nvars", infer_num_vars(text))
     poly = parse_poly(text, nvars, field_)
     dd = sing_dim_deg(poly)
     result = {
@@ -206,18 +240,14 @@ def _cmd_singdim(cfg: RunConfig) -> int:
 
 
 def _cmd_census(cfg: RunConfig) -> int:
-    n = cfg.require_int("n")
-    b = cfg.require_int("b")
-    l = cfg.require_int("l")
-    field_ = _field_of(cfg)
     records, summary = census(
-        n,
-        b,
-        l,
-        field_,
+        cfg.require("n"),
+        cfg.require("b"),
+        cfg.require("l"),
+        _field_of(cfg),
         mode=cfg.get("mode", "sample"),
-        trials=cfg.get_int("trials"),
-        seed=cfg.get_int("seed"),
+        trials=cfg.get("trials"),
+        seed=cfg.get("seed"),
         cap=cfg.get("cap"),
     )
     out = cfg.get("out")
@@ -232,35 +262,23 @@ def _cmd_census(cfg: RunConfig) -> int:
 
 
 def _cmd_speccodim(cfg: RunConfig) -> int:
-    n = cfg.require_int("n")
-    b = cfg.require_int("b")
-    l = cfg.require_int("l")
+    n = cfg.require("n")
+    b = cfg.require("b")
+    l = cfg.require("l")
     field_ = _field_of(cfg)
-    seed = cfg.get_int("seed")
-    random_d = cfg.get_int(
-        "random", cfg.get_int("d") if cfg.get("points") is None else None
-    )
+    seed = cfg.get("seed")
+    points = cfg.get("points")
+    random_d = cfg.get("random", cfg.get("d") if points is None else None)
     if random_d is not None:
         if seed is None:
             seed = fresh_seed()
         config = random_config(n, b, random_d, field_.p, trial_rng(seed, 0))
-    else:
-        points = cfg.get("points")
-        if points is None:
-            raise ValidationError(
-                "provide member planes via --random D or config key 'points'"
-            )
-        if not isinstance(points, list):
-            raise ValidationError(f"config key 'points' must be a list of lists, not {points!r}")
-        infinity = cfg.get("infinity", False)
-        if not isinstance(infinity, bool):
-            raise ValidationError(f"config key 'infinity' must be true or false, not {infinity!r}")
-        config = LinearConfig(
-            n,
-            b,
-            tuple(_int_list(f"points[{i}]", pt) for i, pt in enumerate(points)),
-            infinity,
+    elif points is None:
+        raise ValidationError(
+            "provide member planes via --random D or config key 'points'"
         )
+    else:
+        config = LinearConfig(n, b, points, cfg.get("infinity", False))
     report = union_vanishing_codim(config, l, field_)
     result = report.to_json_dict()
     result["points"] = [list(pt) for pt in config.points]
@@ -275,13 +293,10 @@ def _cmd_dhcount(cfg: RunConfig) -> int:
     z_texts = cfg.get("Z")
     if not z_texts:
         raise ValidationError("config key 'Z' (list of generator strings) is required")
-    if not isinstance(z_texts, list) or not all(isinstance(t, str) for t in z_texts):
-        raise ValidationError(f"config key 'Z' must be a list of strings, not {z_texts!r}")
-    nv_candidates = [infer_num_vars(t) for t in z_texts]
-    nvars = cfg.get_int("nvars") or max(nv_candidates)
+    nvars = cfg.get("nvars") or max(infer_num_vars(t) for t in z_texts)
     z_gens = [parse_poly(t, nvars, field_) for t in z_texts]
-    l = cfg.get_int("l")
-    tau = cfg.get_int("tau")
+    l = cfg.get("l")
+    tau = cfg.get("tau")
     if tau is None:
         if l is None:
             raise ValidationError("provide tau (config) or --l to derive it")
@@ -294,7 +309,7 @@ def _cmd_dhcount(cfg: RunConfig) -> int:
         tau,
         p,
         p,
-        hidden=cfg.get_int("hidden"),
+        hidden=cfg.get("hidden"),
         l=l,
         cap=cfg.get("cap"),
     )
@@ -307,10 +322,10 @@ def _cmd_dhcount(cfg: RunConfig) -> int:
 
 
 def _cmd_witness(cfg: RunConfig) -> int:
-    n = cfg.require_int("n")
-    b = cfg.require_int("b")
-    l = cfg.require_int("l")
-    d = cfg.require_int("d")
+    n = cfg.require("n")
+    b = cfg.require("b")
+    l = cfg.require("l")
+    d = cfg.require("d")
     field_ = _field_of(cfg)
     f_text = cfg.get("text") or cfg.get("f")
     if f_text is None:
@@ -319,7 +334,6 @@ def _cmd_witness(cfg: RunConfig) -> int:
     point = cfg.get("P")
     if point is None:
         raise ValidationError("config key 'P' (point coordinates) is required")
-    point = _int_list("P", point)
     char_case = cfg.get("char_case", "two" if field_.p == 2 else "odd")
     res = jacobian_witness(n, b, l, d, f, point, char_case)
     result = {
@@ -333,44 +347,39 @@ def _cmd_witness(cfg: RunConfig) -> int:
 
 
 def _cmd_en_experiment(cfg: RunConfig) -> int:
-    n = cfg.require_int("n")
-    b = cfg.require_int("b")
-    l = cfg.require_int("l")
-    field_ = _field_of(cfg)
-    trials = cfg.require_int("trials")
-    report = en_experiment(n, b, l, field_.p, trials, seed=cfg.get_int("seed"))
+    report = en_experiment(
+        cfg.require("n"),
+        cfg.require("b"),
+        cfg.require("l"),
+        _field_of(cfg).p,
+        cfg.require("trials"),
+        seed=cfg.get("seed"),
+    )
     _emit(cfg, report.to_json_dict(), seed=report.seed, out=cfg.get("out"))
     return 0
 
 
+# Each subcommand's handler and its one-line description.
 _HANDLERS = {
-    "bounds": _cmd_bounds,
-    "l0": _cmd_l0,
-    "singdim": _cmd_singdim,
-    "census": _cmd_census,
-    "speccodim": _cmd_speccodim,
-    "dhcount": _cmd_dhcount,
-    "witness": _cmd_witness,
-    "en-experiment": _cmd_en_experiment,
+    "bounds": (_cmd_bounds, "closed-form quantities and thresholds as one JSON report"),
+    "l0": (_cmd_l0, "smallest stable degree threshold for the given (n, b, p)"),
+    "singdim": (_cmd_singdim, "dimension and degree of one hypersurface's singular locus"),
+    "census": (_cmd_census, "walk random or all degree-l forms and record singular loci"),
+    "speccodim": (_cmd_speccodim, "codimension of forms vanishing on a plane configuration"),
+    "dhcount": (_cmd_dhcount, "exhaustive counting dichotomy over chart polynomials"),
+    "witness": (_cmd_witness, "explicit singular form with certified tangent rank"),
+    "en-experiment": (_cmd_en_experiment, "sampled frequency of the derivative-locus proxies"),
 }
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--b", type=int)
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--mode", choices=["sample", "exhaustive"])
-    sp.add_argument("--cap", type=int)
-    sp.add_argument("--nvars", type=int)
+    for key, check in _FLAG_CHECKS.items():
+        if isinstance(check, _OneOf):
+            sp.add_argument(f"--{key}", choices=check.options)
+        else:
+            sp.add_argument(f"--{key}", type=int)
     sp.add_argument("--config", help="JSON file with the same keys as the flags")
     sp.add_argument("--out", help="write the primary output to this file")
-    sp.add_argument("--format", choices=["csv", "json"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,17 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    descriptions = {
-        "bounds": "closed-form quantities and thresholds as one JSON report",
-        "l0": "smallest stable degree threshold for the given (n, b, p)",
-        "singdim": "dimension and degree of one hypersurface's singular locus",
-        "census": "walk random or all degree-l forms and record singular loci",
-        "speccodim": "codimension of forms vanishing on a plane configuration",
-        "dhcount": "exhaustive counting dichotomy over chart polynomials",
-        "witness": "explicit singular form with certified tangent rank",
-        "en-experiment": "sampled frequency of the derivative-locus proxies",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _HANDLERS.items():
         # no prefix matching: a removed flag must not resolve to another one
         sp = sub.add_parser(name, help=desc, description=desc, allow_abbrev=False)
         _add_common(sp)
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        return _HANDLERS[args.cmd](cfg)
+        return _HANDLERS[args.cmd][0](cfg)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,8 +1,12 @@
-"""Enumeration caps and reproducible per-trial randomness."""
+"""Parameter checks, enumeration caps, reproducible per-trial randomness,
+and the JSON encoding of reports."""
 
 import os
 import random
+from dataclasses import fields
+from fractions import Fraction
 
+from .algebra.field import is_prime
 from .errors import CapExceeded, ValidationError
 
 DEFAULT_CAP = 1 << 25
@@ -11,11 +15,38 @@ _SEED_LIMIT = 1 << 64
 
 
 def as_int(name, value):
-    """int(value), or a ValidationError naming the input it came from."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+    """int(value), or a ValidationError naming the input it came from.
+
+    Integers and decimal strings are accepted; bools and floats are not,
+    so a JSON ``true`` or ``3.7`` is never read as 1 or 3.
+    """
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be an integer, not {value!r}")
+
+
+def check_nb(n: int, b: int = 1) -> None:
+    """n >= 3 and 1 <= b <= n-1; the default b passes for every n >= 3."""
+    if n < 3:
+        raise ValidationError("n >= 3 required")
+    if not 1 <= b <= n - 1:
+        raise ValidationError("1 <= b <= n-1 required")
+
+
+def check_prime(p: int, name: str = "p") -> None:
+    if not is_prime(p):
+        raise ValidationError(f"{name} = {p} is not prime")
+
+
+def check_q_is_p(p: int, q: int) -> None:
+    """Only prime fields are supported, so the field size q is p."""
+    if q != p:
+        raise ValidationError(
+            "q must equal p: prime fields only in this implementation"
+        )
 
 
 def resolve_cap(explicit=None):
@@ -56,3 +87,22 @@ def fresh_seed():
 def rational_json(value):
     """Exact fraction as base-10 string pair for JSON reports."""
     return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def _json_value(value):
+    if isinstance(value, Fraction):
+        return rational_json(value)
+    if isinstance(value, dict):
+        return {str(k): _json_value(value[k]) for k in sorted(value)}
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class JsonReport:
+    """Mixin for report dataclasses: ``to_json_dict`` emits every field,
+    fractions as {num, den}, dicts with string keys in key order, tuples
+    as lists."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}

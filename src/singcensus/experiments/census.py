@@ -14,7 +14,7 @@ from itertools import product
 
 from ..algebra.field import PrimeField
 from ..algebra.poly import GradedSpace, Poly
-from ..control import check_cap, fresh_seed, rational_json, trial_rng
+from ..control import JsonReport, check_cap, check_nb, fresh_seed, trial_rng
 from ..errors import ValidationError
 from ..groebner import sing_dim_deg
 
@@ -54,7 +54,7 @@ class CensusRecord:
 
 
 @dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(JsonReport):
     """Aggregate view: counts per singular-locus dimension and the
     empirical probability that the dimension reaches b."""
 
@@ -67,30 +67,6 @@ class CensusSummary:
     seed: int
     histogram: dict
     prob_sing_dim_ge_b: Fraction
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "b": self.b,
-            "l": self.l,
-            "q": self.q,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "histogram": {
-                str(dim): self.histogram[dim] for dim in sorted(self.histogram)
-            },
-            "prob_sing_dim_ge_b": rational_json(self.prob_sing_dim_ge_b),
-        }
-
-
-def _validate_nbl(n: int, b: int, l: int) -> None:
-    if n < 3:
-        raise ValidationError("n >= 3 required")
-    if not 1 <= b <= n - 1:
-        raise ValidationError("1 <= b <= n-1 required")
-    if l < 1:
-        raise ValidationError("l >= 1 required")
 
 
 def _reject_exhaustive_seed(mode: str, seed) -> None:
@@ -167,7 +143,9 @@ def census(
     the code; it measures each projective class once and copies the result
     to the scalar multiples, whose ``elapsed_ms`` is the lookup time.
     """
-    _validate_nbl(n, b, l)
+    check_nb(n, b)
+    if l < 1:
+        raise ValidationError("l >= 1 required")
     _reject_exhaustive_seed(mode, seed)
     space = GradedSpace(field, n + 1, l, GradedSpace.HOMOGENEOUS)
     q = field.p
@@ -276,7 +254,7 @@ def square_multiple_set(n: int, l: int, field: PrimeField, cap=None):
 
 
 @dataclass(frozen=True)
-class SquarefreeReport:
+class SquarefreeReport(JsonReport):
     """Comparison of {divisible by a square} against {singular locus of
     codimension one} for degree-l forms."""
 
@@ -298,21 +276,7 @@ class SquarefreeReport:
         return self.member_violations == 0 and self.mismatches == 0
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "l": self.l,
-            "q": self.q,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "image_size": self.image_size,
-            "pair_count": self.pair_count,
-            "max_fiber": self.max_fiber,
-            "member_violations": self.member_violations,
-            "checked": self.checked,
-            "mismatches": self.mismatches,
-            "agree": self.agree,
-        }
+        return {**super().to_json_dict(), "agree": self.agree}
 
 
 def squarefree_census(
@@ -331,8 +295,7 @@ def squarefree_census(
     tested both ways and disagreements counted.  ``exhaustive`` mode takes
     no seed.
     """
-    if n < 3:
-        raise ValidationError("n >= 3 required")
+    check_nb(n)
     _reject_exhaustive_seed(mode, seed)
     reps, pair_count, fibers = square_multiple_set(n, l, field, cap=cap)
     threshold = n - 1

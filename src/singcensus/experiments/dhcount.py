@@ -10,9 +10,8 @@ element of Z's chart ideal, because (G - G')^p lies in a radical ideal in
 characteristic p.
 """
 
-from ..algebra.field import is_prime
 from ..algebra.poly import GradedSpace, Poly
-from ..control import check_cap
+from ..control import check_cap, check_prime, check_q_is_p
 from ..errors import InternalCheckError, ValidationError
 from ..groebner import buchberger, ideal_membership
 
@@ -41,12 +40,8 @@ def dh_counting(
     Returns (count_lhs, count_rhs) and asserts the dichotomy
     count_lhs in {0, count_rhs} as well as count_lhs <= count_rhs.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if q != p:
-        raise ValidationError(
-            "q must equal p: prime fields only in this implementation"
-        )
+    check_prime(p)
+    check_q_is_p(p, q)
     if tau < 0:
         raise ValidationError("tau >= 0 required")
     gens = [g for g in Z_gens if not g.is_zero]

@@ -11,10 +11,18 @@ derivative loci.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..algebra.field import PrimeField, is_prime
+from ..algebra.field import PrimeField
 from ..algebra.poly import GradedSpace, Poly
 from ..bounds import prob_En_lower, tau
-from ..control import check_cap, fresh_seed, rational_json, trial_rng
+from ..control import (
+    JsonReport,
+    check_cap,
+    check_prime,
+    check_q_is_p,
+    fresh_seed,
+    rational_json,
+    trial_rng,
+)
 from ..errors import InternalCheckError, ValidationError
 from ..groebner import MonomialOrder, affine_dimension, buchberger
 
@@ -60,8 +68,7 @@ def smart_construct(F0: Poly, Gs, p: int, l: int) -> SmartSample:
     Requires deg F0 <= l, exactly n = F0.nvars polynomials G_i with
     deg G_i <= tau(l, p), all over the prime field with p elements.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    check_prime(p)
     if F0.field.p != p:
         raise ValidationError(
             f"F0 lives over F_{F0.field.p} but p={p} was requested"
@@ -119,7 +126,7 @@ def commutation_holds(sample: SmartSample) -> bool:
 
 
 @dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(JsonReport):
     """Exhaustive fiber statistics of the assembly map (F0, Gs) -> F."""
 
     n: int
@@ -129,16 +136,6 @@ class UniformityReport:
     distinct_images: int
     fiber_size: int
 
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "l": self.l,
-            "q": self.q,
-            "total_tuples": self.total_tuples,
-            "distinct_images": self.distinct_images,
-            "fiber_size": self.fiber_size,
-        }
-
 
 def uniformity_of_smart(n: int, l: int, p: int, q: int, cap=None) -> UniformityReport:
     """Exhaustively count the fibers of (F0, Gs) -> F and require them equal.
@@ -146,12 +143,8 @@ def uniformity_of_smart(n: int, l: int, p: int, q: int, cap=None) -> UniformityR
     Only prime fields are supported, so q must equal p.  The enumeration
     size q^(dim F0-space + n * dim G-space) is checked against the cap.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if q != p:
-        raise ValidationError(
-            "q must equal p: prime fields only in this implementation"
-        )
+    check_prime(p)
+    check_q_is_p(p, q)
     field = PrimeField(p)
     f0_space = GradedSpace(field, n, l, GradedSpace.AT_MOST)
     g_space = GradedSpace(field, n, tau(l, p), GradedSpace.AT_MOST)
@@ -228,7 +221,7 @@ def event_En_proxy(sample: SmartSample, n: int, b: int) -> dict:
 
 
 @dataclass(frozen=True)
-class EnExperimentReport:
+class EnExperimentReport(JsonReport):
     """Sampled frequencies of the two dimension proxies.
 
     The closed-form product lower bound is included for side-by-side
@@ -257,20 +250,9 @@ class EnExperimentReport:
 
     def to_json_dict(self):
         return {
-            "n": self.n,
-            "b": self.b,
-            "l": self.l,
-            "q": self.q,
-            "trials": self.trials,
-            "seed": self.seed,
-            "bullet1_count": self.bullet1_count,
-            "bullet2_strong_count": self.bullet2_strong_count,
-            "both_count": self.both_count,
+            **super().to_json_dict(),
             "bullet1_frequency": rational_json(self.bullet1_frequency),
-            "bullet2_strong_frequency": rational_json(
-                self.bullet2_strong_frequency
-            ),
-            "reference_lower_bound": rational_json(self.reference_lower_bound),
+            "bullet2_strong_frequency": rational_json(self.bullet2_strong_frequency),
         }
 
 

@@ -22,10 +22,11 @@ and counts the degree-l graded piece.
 import math
 from dataclasses import dataclass
 
-from ..algebra.field import PrimeField, is_prime
+from ..algebra.field import PrimeField
 from ..algebra.linalg import RowEchelonGF
 from ..algebra.poly import Poly, monomials_of_degree
 from ..bounds import A_b
+from ..control import JsonReport, check_nb, check_prime
 from ..errors import InternalCheckError, ValidationError
 from ..groebner import graded_piece_dimension, intersect_many
 
@@ -55,10 +56,7 @@ class LinearConfig:
     infinity: bool = False
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValidationError("n >= 3 required")
-        if not 1 <= self.b <= self.n - 1:
-            raise ValidationError("1 <= b <= n-1 required")
+        check_nb(self.n, self.b)
         pts = tuple(tuple(int(c) for c in pt) for pt in self.points)
         object.__setattr__(self, "points", pts)
         want = self.n - self.b
@@ -119,7 +117,7 @@ class LinearConfig:
 
 
 @dataclass(frozen=True)
-class SpecializationReport:
+class SpecializationReport(JsonReport):
     """Result of a union-vanishing codimension computation.
 
     ``mu_sequence[m-1]`` is the codimension after the first m members;
@@ -142,15 +140,6 @@ class SpecializationReport:
             raise InternalCheckError("mu sequence must be non-decreasing")
         if self.codim != self.mu_sequence[-1]:
             raise InternalCheckError("codim must equal the final mu value")
-
-    def to_json_dict(self):
-        return {
-            "l": self.l,
-            "d": self.d,
-            "mu_sequence": list(self.mu_sequence),
-            "codim": self.codim,
-            "bound": self.bound,
-        }
 
 
 def _substitution_blocks(config: LinearConfig, l: int, p: int, basis):
@@ -276,10 +265,10 @@ def random_config(
     (forced on when the finite graph planes alone cannot supply d distinct
     members).
     """
+    check_nb(n, b)
     if d < 1:
         raise ValidationError("d >= 1 required")
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    check_prime(p)
     capacity = p ** (n - b)
     if infinity is None:
         include_inf = d > capacity or rng.random() < 0.5

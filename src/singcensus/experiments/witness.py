@@ -13,6 +13,7 @@ from typing import NamedTuple
 from ..algebra.linalg import det_mod, rank_mod
 from ..algebra.poly import Poly
 from ..bounds import bezout_bound
+from ..control import check_nb
 from ..errors import InternalCheckError, ValidationError
 from ..groebner import sing_dim_deg
 
@@ -53,10 +54,7 @@ def jacobian_witness(
     hypothesis.  The result's rank is certified >= n-b by checking that
     the bottom-right (n-b) x (n-b) minor of J(P) is nonzero.
     """
-    if n < 3:
-        raise ValidationError("n >= 3 required")
-    if not 1 <= b <= n - 1:
-        raise ValidationError("1 <= b <= n-1 required")
+    check_nb(n, b)
     if f.nvars != b + 2:
         raise ValidationError(
             f"f must live in the b+2 = {b + 2} variables x0..x{b + 1}"

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singcensus.cli import main
 from singcensus.errors import InternalCheckError
@@ -285,11 +289,33 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
 
 
 def test_non_integer_config_value_exits_2(capsys, tmp_path):
+    # a bool or a float is not an integer, even when int() would take it
+    cases = [
+        (["bounds"], {"n": "abc", "b": 1, "l": 7, "p": 2}, "n"),
+        (["bounds", "--n", "3", "--b", "1", "--l", "7", "--p", "2"],
+         {"s1_l0": "x"}, "s1_l0"),
+        (["bounds", "--b", "1", "--l", "7", "--p", "2"], {"n": 3.7}, "n"),
+        (["census", "--n", "3", "--b", "1", "--l", "2", "--p", "3", "--seed", "1"],
+         {"trials": True}, "trials"),
+    ]
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"n": "abc", "b": 1, "l": 7, "p": 2}))
-    code, _, err = _run(capsys, ["bounds", "--config", str(cfg)])
+    for argv, config, key in cases:
+        cfg.write_text(json.dumps(config))
+        code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert code == 2, (config, err)
+        assert f"{key} must be an integer" in err
+        assert out == ""
+
+
+def test_speccodim_with_b_above_n_exits_2(capsys):
+    # random_config must check (n, b) before it computes p ** (n - b)
+    code, out, err = _run(
+        capsys,
+        ["speccodim", "--n", "3", "--b", "4", "--l", "2", "--p", "2", "--d", "1"],
+    )
     assert code == 2
-    assert "n must be an integer" in err
+    assert "1 <= b <= n-1" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -302,8 +328,13 @@ def test_non_integer_config_value_exits_2(capsys, tmp_path):
           "--p", "2"], {"P": "xy"}, "P"),
         (["speccodim", "--n", "3", "--b", "1", "--l", "2", "--p", "2"],
          {"points": [[0, 0]], "infinity": "no"}, "infinity"),
+        (["witness", "--n", "3", "--b", "1", "--l", "4", "--d", "1", "--p", "2"],
+         {"f": 5, "P": [1, 0, 0, 0]}, "f"),
+        (["dhcount", "--p", "2"], {"Z": ["x0"], "F0": 7, "tau": 1, "nvars": 3}, "F0"),
+        (["l0", "--n", "3", "--b", "1", "--p", "2"], {"format": "xml"}, "format"),
+        (["bounds", "--n", "3", "--b", "1", "--l", "7", "--p", "2"], {"out": 5}, "out"),
     ],
-    ids=["points", "Z", "P", "infinity"],
+    ids=["points", "Z", "P", "infinity", "f", "F0", "format", "out"],
 )
 def test_config_value_of_wrong_json_type_exits_2(capsys, tmp_path, argv, config, key):
     cfg = tmp_path / "bad.json"
@@ -371,3 +402,74 @@ def test_internal_check_exits_4(capsys, monkeypatch, tmp_path):
     )
     assert code == 4
     assert "internal check failed" in err
+
+
+# One valid invocation per subcommand (flags, config, polynomial argument);
+# the fuzz below perturbs a few of its inputs at a time.
+VALID = {
+    "bounds": ({"n": 3, "b": 1, "l": 3, "p": 2}, {}, None),
+    "l0": ({"n": 3, "b": 1, "p": 3, "window": 3}, {}, None),
+    "singdim": ({"p": 3}, {}, "x0^2*x1"),
+    "census": ({"n": 3, "b": 1, "l": 2, "p": 3, "trials": 3, "seed": 1}, {}, None),
+    "speccodim": ({"n": 3, "b": 1, "l": 2, "p": 2},
+                  {"points": [[0, 0]], "infinity": True}, None),
+    "dhcount": ({"p": 2}, {"Z": ["x1", "x3"], "tau": 1, "hidden": 2, "nvars": 4},
+                "x0*x1 + x2^2"),
+    "witness": ({"n": 3, "b": 1, "l": 4, "d": 1, "p": 2}, {"P": [1, 0, 0, 0]}, "x2"),
+    "en-experiment": ({"n": 3, "b": 1, "l": 3, "p": 2, "trials": 2, "seed": 1},
+                      {}, None),
+}
+INT_FLAGS = ["n", "b", "l", "p", "q", "d", "trials", "seed", "window", "nvars"]
+CONFIG_KEYS = INT_FLAGS + [
+    "mode", "format", "cap", "tau", "hidden", "random", "s1_l0", "text", "f",
+    "F0", "char_case", "points", "P", "Z", "infinity", "unknown",
+]
+SMALL = st.integers(-1, 3)
+CONFIG_VALUES = SMALL | st.sampled_from(
+    [3.5, True, None, "abc", "3", [], [1], ["x0"], [[0, 0]], {}])
+
+
+def _value(key, values):
+    return values | st.just(2**64) if key in ("p", "seed") else values
+
+
+@st.composite
+def _invocations(draw):
+    cmd = draw(st.sampled_from(sorted(VALID)))
+    flags, config, text = VALID[cmd]
+    flags, config = dict(flags), dict(config)
+    for key in draw(st.lists(st.sampled_from(INT_FLAGS), unique=True, max_size=3)):
+        flags[key] = draw(st.none() | _value(key, SMALL))  # None drops the flag
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), unique=True, max_size=3)):
+        config[key] = draw(_value(key, CONFIG_VALUES))
+    argv = [cmd, "--cap", "500"]
+    for key, value in flags.items():
+        if value is not None:
+            argv += [f"--{key}", str(value)]
+    for key, words in (("mode", ["sample", "exhaustive", "xml"]),
+                       ("format", ["csv", "json", "xml"])):
+        if draw(st.booleans()):
+            argv += [f"--{key}", draw(st.sampled_from(words))]
+    if cmd == "speccodim" and draw(st.booleans()):
+        argv += ["--random", str(draw(SMALL))]
+    if cmd in ("singdim", "dhcount", "witness"):
+        text = draw(st.sampled_from([text, text, "x1 - x2", "abc", "3", "", None]))
+        if text is not None:
+            argv.append(text)
+    return argv, config
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_invocations())
+def test_every_invocation_exits_with_a_documented_code(tmp_path_factory, invocation):
+    argv, config = invocation
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(config))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv + ["--config", str(path)])
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+            assert code == 2
+    assert code in (0, 2, 3, 4), (argv, config, sink.getvalue())
