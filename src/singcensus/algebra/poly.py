@@ -66,11 +66,6 @@ class Poly:
         e[i] = power
         return cls(field, nvars, {tuple(e): 1})
 
-    @classmethod
-    def from_coeffs(cls, field, monomials, coeffs):
-        """Pair a monomial list with a coefficient vector (used by samplers)."""
-        return cls(field, len(monomials[0]), zip(monomials, coeffs))
-
     # -- predicates and views --
 
     @property

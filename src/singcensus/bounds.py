@@ -29,14 +29,15 @@ def dim_X1(n: int, b: int, l: int) -> int:
 
 
 def A_b(l: int, m: int, b: int) -> int:
-    """Partial-sum codimension bound: sum of C(l-e+1+b, b) for e = 1..m."""
+    """Partial-sum codimension bound: sum of C(l-e+1+b, b) for e = 1..m,
+    in closed form by the hockey-stick identity."""
     if b < 1:
         raise ValidationError("b >= 1 required")
     if l < 0:
         raise ValidationError("l >= 0 required")
     if not 1 <= m <= l + 1:
         raise ValidationError(f"m must lie in [1, l+1], got m={m} with l={l}")
-    return sum(comb(l - e + 1 + b, b) for e in range(1, m + 1))
+    return comb(l + b + 1, b + 1) - comb(l - m + b + 1, b + 1)
 
 
 def tau(l: int, p: int) -> int:

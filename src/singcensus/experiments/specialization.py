@@ -12,11 +12,15 @@ on which x_0..x_b are free; the optional last member is
 V(x_b, x_{b+2}, ..., x_n), the limit of the graphs as the parameters grow
 in the x_{b+1} direction, on which x_0..x_{b-1}, x_{b+1} are free.
 
+Each member is the cone, with vertex V(x_b, ..., x_n), over one point of
+P^{n-b} in the coordinates x_b..x_n: [1 : p_{b+1} : ... : p_n] for a graph
+member and [0 : 1 : 0 ... 0] for the limit member.
+
 Two independent routes compute the codimension of the vanishing condition
-inside the space of degree-l forms.  The production route substitutes each
-member's parametrization into a generic form and takes the rank of the
-stacked linear system; the cross-check route intersects the member ideals
-and counts the degree-l graded piece.
+inside the space of degree-l forms.  The production route reads the
+configuration as those cone points and sums per-degree evaluation ranks at
+them; the cross-check route intersects the member ideals and counts the
+degree-l graded piece.
 """
 
 import math
@@ -142,39 +146,14 @@ class SpecializationReport(JsonReport):
             raise InternalCheckError("codim must equal the final mu value")
 
 
-def _substitution_blocks(config: LinearConfig, l: int, p: int, basis):
-    """Per-member constraint rows of the substitution route.
-
-    Columns index ``basis`` (the degree-l monomials in n+1 variables); each
-    member contributes one row per degree-l monomial in its free
-    coordinates, collecting the sources that map onto it.
-    """
-    n, b = config.n, config.b
-    blocks = []
-    for pt in config.points:
-        rows = {}
-        for col, exps in enumerate(basis):
-            coeff = 1
-            for j in range(b + 1, n + 1):
-                e = exps[j]
-                if e:
-                    coeff = (coeff * pow(pt[j - b - 1], e, p)) % p
-                    if coeff == 0:
-                        break
-            if coeff == 0:
-                continue
-            target = exps[:b] + (sum(exps[b:]),)
-            rows.setdefault(target, []).append((col, coeff))
-        blocks.append(list(rows.values()))
+def _cone_points(config: LinearConfig):
+    """The cone points of the members, in member order, as coordinate
+    tuples over x_b..x_n: [1 : pt] per graph member, then [0 : 1 : 0 ... 0]
+    for the limit member."""
+    points = [(1,) + pt for pt in config.points]
     if config.infinity:
-        rows = {}
-        for col, exps in enumerate(basis):
-            if exps[b] or any(exps[j] for j in range(b + 2, n + 1)):
-                continue
-            target = exps[:b] + (exps[b + 1],)
-            rows.setdefault(target, []).append((col, 1))
-        blocks.append(list(rows.values()))
-    return blocks
+        points.append((0, 1) + (0,) * (config.n - config.b - 1))
+    return points
 
 
 def union_vanishing_codim(
@@ -182,27 +161,49 @@ def union_vanishing_codim(
 ) -> SpecializationReport:
     """Codimension, inside the degree-l forms, of vanishing on the union.
 
-    Computed exactly: each member plane's parametrization is substituted
-    into a generic degree-l form and the resulting identical-vanishing
-    conditions are stacked; the codimension is the rank, accumulated
-    member by member to give the mu sequence.
+    Write a degree-l form as F = sum over alpha of x^alpha F_alpha, with
+    alpha over x_0..x_{b-1} and F_alpha of degree l - |alpha| in
+    x_b..x_n.  F vanishes on the cone over a point z exactly when every
+    F_alpha(z) = 0, so with Z_m the first m cone points
+
+        mu_m = sum_{s=0..l} C(s+b-1, b-1) h_{Z_m}(l-s),
+
+    where h_{Z_m}(k) is the rank of evaluating the degree-k monomials in
+    x_b..x_n at Z_m.  The points are distinct, so h_{Z_m}(k) = m for
+    k >= d-1; and once Z_d imposes independent conditions in some degree,
+    so does every Z_m in every higher degree.  Only the degrees below that
+    are row-reduced; the rest are summed in closed form.
     """
     if l < 1:
         raise ValidationError("l >= 1 required")
     cfg = config.reduced(field.p)
-    basis = monomials_of_degree(cfg.n + 1, l)
-    ech = RowEchelonGF(field.p, len(basis))
-    mu = []
-    for block in _substitution_blocks(cfg, l, field.p, basis):
-        for row in block:
-            ech.add_row_sparse(row)
-        mu.append(ech.rank)
+    p, b = field.p, cfg.b
+    points = _cone_points(cfg)
+    d = len(points)
+    h = []  # h[k][m - 1] = h_{Z_m}(k) while Z_d is not yet independent
+    for k in range(min(l + 1, d - 1)):
+        monomials = monomials_of_degree(cfg.n - b + 1, k)
+        ech = RowEchelonGF(p, len(monomials))
+        ranks = []
+        for z in points:
+            row = [math.prod(pow(c, a, p) for c, a in zip(z, e)) for e in monomials]
+            ech.add_row(row)
+            ranks.append(ech.rank)
+        if ranks[-1] == d:
+            break
+        h.append(ranks)
+    # the degrees k >= len(h), where h_{Z_m}(k) = m, sum to m C(l-len(h)+b, b)
+    mu = [
+        sum(math.comb(l - k + b - 1, b - 1) * hk[m - 1] for k, hk in enumerate(h))
+        + m * math.comb(l - len(h) + b, b)
+        for m in range(1, d + 1)
+    ]
     return SpecializationReport(
         l=l,
-        d=cfg.d,
+        d=d,
         mu_sequence=tuple(mu),
         codim=mu[-1],
-        bound=A_b(l, min(cfg.d, l + 1), cfg.b),
+        bound=A_b(l, min(d, l + 1), b),
     )
 
 
@@ -230,30 +231,18 @@ def groebner_union_codim(config: LinearConfig, l: int, field: PrimeField) -> int
 def surviving_monomials(config: LinearConfig, l: int, field: PrimeField):
     """Degree-l monomials that vanish on every member plane.
 
-    A monomial survives a finite member when the substituted coefficient is
-    zero mod p, and the limit member when it contains x_b or any of
-    x_{b+2}..x_n.  Returned as exponent tuples in descending grevlex order.
+    A monomial vanishes on the cone over z exactly when its x_b..x_n part
+    vanishes at z, that is, when it contains a variable whose coordinate
+    at z is zero.  Returned as exponent tuples in descending grevlex order.
     """
     cfg = config.reduced(field.p)
-    n, b, p = cfg.n, cfg.b, field.p
-    out = []
-    for exps in monomials_of_degree(n + 1, l):
-        ok = True
-        for pt in cfg.points:
-            coeff = 1
-            for j in range(b + 1, n + 1):
-                e = exps[j]
-                if e:
-                    coeff = (coeff * pow(pt[j - b - 1], e, p)) % p
-            if coeff:
-                ok = False
-                break
-        if ok and cfg.infinity:
-            if not (exps[b] or any(exps[j] for j in range(b + 2, n + 1))):
-                ok = False
-        if ok:
-            out.append(exps)
-    return tuple(out)
+    b = cfg.b
+    zeros = [[b + j for j, c in enumerate(z) if c == 0] for z in _cone_points(cfg)]
+    return tuple(
+        exps
+        for exps in monomials_of_degree(cfg.n + 1, l)
+        if all(any(exps[i] for i in zs) for zs in zeros)
+    )
 
 
 def random_config(

@@ -72,9 +72,6 @@ class GroebnerBasis:
     def contains(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
 
-    def is_unit_ideal(self) -> bool:
-        return any(not any(lead) for lead in self.lead_exponents())
-
     def lead_exponents(self) -> List[Tuple[int, ...]]:
         return [t[0][0] for t in self.terms]
 

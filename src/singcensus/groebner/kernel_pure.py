@@ -198,20 +198,3 @@ def normal_form(f, basis, nvars, p, order=GREVLEX):
         if pg:
             packed.append(_monic(pg, p))
     return _unpack(_reduce(work, packed, ctx, p), ctx)
-
-
-def selfcheck(basis, nvars, p, order=GREVLEX):
-    """Post-hoc Buchberger criterion: every S-polynomial of the basis reduces
-    to zero.  Returns True/False; used by tests and debug runs."""
-    ctx = OrderContext(nvars, order)
-    packed = []
-    for g in basis:
-        pg = _pack(g, ctx, p)
-        if pg:
-            packed.append(_monic(pg, p))
-    for i in range(len(packed)):
-        for j in range(i + 1, len(packed)):
-            s = _spoly(packed[i], packed[j], ctx, p)
-            if _reduce(s, packed, ctx, p):
-                return False
-    return True

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,13 @@ def test_stable_degree_search():
     # the answer is not an artifact of the window length
     for window in (10, 50, 100):
         assert find_l0(3, 1, 2, window=window) == 21
+
+
+def test_wide_window_search_is_fast():
+    # A_b is closed form, so a window checks each degree in O(1) binomials
+    t0 = time.perf_counter()
+    assert find_l0(3, 1, 2, window=40_000) == 21
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_find_l0_satisfies_hypothesis_on_window():

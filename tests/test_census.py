@@ -122,7 +122,7 @@ def cubic_surfaces(draw):
         st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons))
         .filter(any)
     )
-    return Poly.from_coeffs(PrimeField(p), mons, coeffs)
+    return Poly(PrimeField(p), 4, zip(mons, coeffs))
 
 
 @given(cubic_surfaces())

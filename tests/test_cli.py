@@ -162,6 +162,15 @@ def test_speccodim_random_members(capsys):
     assert len(res["points"]) + (1 if res["infinity"] else 0) == 2
 
 
+def test_speccodim_at_degree_300(capsys):
+    env = _envelope(
+        capsys,
+        ["speccodim", "--n", "3", "--b", "1", "--l", "300", "--p", "2",
+         "--random", "2", "--seed", "1"],
+    )
+    assert env["result"]["mu_sequence"] == [301, 601]
+
+
 def test_dhcount_from_config_file(capsys, tmp_path):
     cfg = tmp_path / "dh.json"
     cfg.write_text(

@@ -66,7 +66,7 @@ def test_twisted_cubic_basis_and_dimension(F5):
 
 def test_unit_ideal(F3):
     gb = buchberger(_polys(["x0", "x0 + 1"], 2, F3))
-    assert gb.is_unit_ideal()
+    assert gb.lead_exponents() == [(0, 0)]
     assert affine_dimension(gb) == -1
     # irrelevant ideal: projectively empty
     dd = projective_dimension_degree(_polys(["x0", "x1"], 2, F3))
@@ -305,7 +305,7 @@ def test_degree_is_positive_whenever_nonempty(F3, rng):
         gens = [space.sample_nonzero(rng) for _ in range(rng.randrange(1, 4))]
         gb = buchberger(gens)
         dim = affine_dimension(gb)
-        if dim >= 0 and not gb.is_unit_ideal():
+        if dim >= 0:  # -1 exactly for the unit ideal
             leads = gb.lead_exponents()
             d, deg = dimension_degree_from_leads(leads, 3)
             assert d == dim

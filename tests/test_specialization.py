@@ -1,9 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 
 from singcensus.algebra.field import PrimeField
+from singcensus.algebra.linalg import RowEchelonGF
+from singcensus.algebra.poly import monomials_of_degree
 from singcensus.bounds import A_b
 from singcensus.errors import ValidationError
 from singcensus.experiments import (
@@ -156,6 +159,79 @@ def test_substitution_agrees_with_groebner_route():
             config = random_config(n, b, d, p, rng)
             report = union_vanishing_codim(config, l, field)
             assert report.codim == groebner_union_codim(config, l, field)
+
+
+def _full_substitution(config, l, p):
+    """Reference route: substitute each member's parametrization into a
+    generic degree-l form and row-reduce the stacked identical-vanishing
+    conditions over all C(l+n, n) coefficients.
+
+    Returns the mu sequence and the degree-l monomials that every member
+    kills, in ``monomials_of_degree`` order.
+    """
+    cfg = config.reduced(p)
+    n, b = cfg.n, cfg.b
+    basis = monomials_of_degree(n + 1, l)
+    members = []  # per member: column -> (target monomial, coefficient)
+    for pt in cfg.points:
+        image = {}
+        for col, exps in enumerate(basis):
+            coeff = 1
+            for j in range(b + 1, n + 1):
+                coeff = coeff * pow(pt[j - b - 1], exps[j], p) % p
+            if coeff:
+                image[col] = (exps[:b] + (sum(exps[b:]),), coeff)
+        members.append(image)
+    if cfg.infinity:
+        image = {}
+        for col, exps in enumerate(basis):
+            if not (exps[b] or any(exps[b + 2:])):
+                image[col] = (exps[:b] + (exps[b + 1],), 1)
+        members.append(image)
+    ech = RowEchelonGF(p, len(basis))
+    mu = []
+    for image in members:
+        rows = {}
+        for col, (target, coeff) in image.items():
+            rows.setdefault(target, []).append((col, coeff))
+        for row in rows.values():
+            ech.add_row_sparse(row)
+        mu.append(ech.rank)
+    killed = [
+        exps for col, exps in enumerate(basis)
+        if not any(col in image for image in members)
+    ]
+    return tuple(mu), tuple(killed)
+
+
+def test_cone_route_matches_full_substitution():
+    # every (p, n, b, l) cell with l <= 5, with and without the limit
+    # member; d runs up to l+2 so both rank shortcuts are exercised
+    rng = random.Random(20260906)
+    checked = {False: 0, True: 0}
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for n in (3, 4):
+            for b in (1, 2):
+                for l in range(1, 6):
+                    for infinity in (False, True):
+                        cap = p ** (n - b) + infinity
+                        for _ in range(2):
+                            d = rng.randrange(1, min(l + 2, cap) + 1)
+                            config = random_config(n, b, d, p, rng, infinity)
+                            mu, killed = _full_substitution(config, l, p)
+                            report = union_vanishing_codim(config, l, field)
+                            assert report.mu_sequence == mu, (config, l)
+                            assert surviving_monomials(config, l, field) == killed
+                            checked[infinity] += 1
+    assert checked == {False: 120, True: 120}
+
+
+def test_two_lines_at_degree_300_is_immediate():
+    t0 = time.perf_counter()
+    report = union_vanishing_codim(TWO_LINES, 300, PrimeField(2))
+    assert report.mu_sequence == (301, 601)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_report_serialization(F3):
