@@ -8,6 +8,10 @@ calculus (formal partials, homogenize-to-degree, dehomogenize) and graded
 coefficient spaces with seeded uniform sampling.
 """
 
+from itertools import combinations_with_replacement
+from math import comb
+
+from ..control import check_cap
 from ..errors import ParseError, ValidationError
 from .field import PrimeField
 
@@ -393,17 +397,11 @@ def format_poly(poly: Poly) -> str:
 def monomials_of_degree(nvars: int, degree: int):
     """All exponent tuples of total degree exactly `degree`, grevlex-descending."""
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec((), degree, nvars)
+    for factors in combinations_with_replacement(range(nvars), degree):
+        exps = [0] * nvars
+        for i in factors:
+            exps[i] += 1
+        out.append(tuple(exps))
     out.sort(key=grevlex_key, reverse=True)
     return out
 
@@ -429,11 +427,16 @@ class GradedSpace:
             raise ValidationError(f"unknown graded-space mode {mode!r}")
         if degree < 0 or num_vars < 1:
             raise ValidationError("need degree >= 0 and at least one variable")
+        homogeneous = mode == self.HOMOGENEOUS
+        check_cap(
+            comb(num_vars - homogeneous + degree, degree),
+            what=f"the monomial list of a degree-{degree} space in {num_vars} variables",
+        )
         self.field = field
         self.num_vars = num_vars
         self.degree = degree
         self.mode = mode
-        if mode == self.HOMOGENEOUS:
+        if homogeneous:
             self._monomials = tuple(monomials_of_degree(num_vars, degree))
         else:
             self._monomials = tuple(monomials_up_to_degree(num_vars, degree))

@@ -8,9 +8,9 @@ forms whose singular locus has codimension one.
 """
 
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from ..algebra.field import PrimeField
 from ..algebra.poly import GradedSpace, Poly
@@ -29,7 +29,9 @@ __all__ = [
     "squarefree_census",
 ]
 
-CSV_HEADER = "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_ms"
+CSV_HEADER = "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_us"
+
+_TABLE_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,12 @@ class CensusRecord:
     l: int
     sing_dim: int
     sing_deg: int
-    elapsed_ms: int
+    elapsed_us: int
 
     def csv_row(self) -> str:
         return (
             f"{self.seed},{self.index},{self.q},{self.n},{self.b},{self.l},"
-            f"{self.sing_dim},{self.sing_deg},{self.elapsed_ms}"
+            f"{self.sing_dim},{self.sing_deg},{self.elapsed_us}"
         )
 
 
@@ -81,47 +83,100 @@ def _timed(measure, form):
     return value, time.perf_counter() - t0
 
 
-def _class_walk(space: GradedSpace, measure):
+def _code_generators(space: GradedSpace):
+    """Generators of the monomial group, each acting on coefficient codes.
+
+    The group is generated by the adjacent transpositions x_j <-> x_{j+1}
+    and, for p > 2, by x_0 -> g*x_0 and f -> g*f with g a generator of
+    F_p^*.  A generator moves digit i of a code to position perm[i] and
+    multiplies it by units[i], so it is stored as one table per chunk of
+    digits: the image of a code is the sum of its chunks' table entries.
+    Returns (p**width, tables per generator), chunk k being the k-th
+    base-p**width digit of the code.
+    """
+    p = space.field.p
+    mons = space.monomials
+    position = {m: i for i, m in enumerate(mons)}
+    identity = list(range(len(mons)))
+    actions = []
+    for j in range(space.num_vars - 1):
+        swapped = [(*m[:j], m[j + 1], m[j], *m[j + 2:]) for m in mons]
+        actions.append(([position[m] for m in swapped], [1] * len(mons)))
+    if p > 2:
+        g = next(
+            g for g in range(2, p) if len({pow(g, k, p) for k in range(p)}) == p - 1
+        )
+        actions.append((identity, [pow(g, m[0], p) for m in mons]))
+        actions.append((identity, [g] * len(mons)))
+    # as few chunks as keep every table within _TABLE_LIMIT entries,
+    # all of about the same width
+    most = 1
+    while p ** (most + 1) <= _TABLE_LIMIT:
+        most += 1
+    chunks = -(-len(mons) // most)
+    width = -(-len(mons) // chunks)
+    generators = []
+    for perm, units in actions:
+        tables = []
+        for start in range(0, len(mons), width):
+            table = [0]
+            for i in reversed(range(start, min(start + width, len(mons)))):
+                images = [d * units[i] % p * p ** perm[i] for d in range(p)]
+                table = [t + image for t in table for image in images]
+            tables.append(table)
+        generators.append(tables)
+    return p**width, generators
+
+
+def _orbit_walk(space: GradedSpace, measure):
     """Yield (code, value, seconds) for every nonzero form of ``space`` in
     the coefficient-code order of ``GradedSpace.iter_all``, running
-    ``measure`` once per projective class.
+    ``measure`` once per orbit of the monomial group.
 
-    ``measure`` must give c*f the same value as f for every unit c.  A code
-    is c*p^t + lower, with c its top nonzero digit at index t; the class
-    representative c^-1 * f has top digit 1 and the smallest code in the
-    class, so it is measured before any of its multiples.  A multiple reads
-    the representative's value from a list over the current top-index block,
-    indexed by the representative's lower code (the digits of ``lower``
-    times c^-1 mod p).  ``seconds`` is the time spent on the row: the
-    measurement for a representative, the lookup for a multiple.
+    ``measure`` must give f the same value after any permutation of the
+    variables, scaling of each variable by a unit, or scaling of f by a
+    unit.  Walking in code order, the first code met in an orbit is its
+    smallest: it is measured and its whole orbit is marked with the next
+    orbit id, so every later code reads its value by id.  ``seconds`` is
+    the time spent on the row: the measurement for a smallest code, the
+    lookup for the others.
     """
     field = space.field
     p = field.p
     mons = space.monomials
-    interned = {}
-    for t in range(len(mons)):
-        block = p**t
-        # over F_2 every class is a single form: nothing is ever looked up
-        cache = [None] * block if p > 2 else None
-        for lower, high_first in enumerate(product(range(p), repeat=t)):
-            form = Poly(field, space.num_vars, zip(mons, (*reversed(high_first), 1)))
-            value, seconds = _timed(measure, form)
-            if cache is not None:
-                cache[lower] = interned.setdefault(value, value)
-            yield block + lower, value, seconds
-        for c in range(2, p):
-            inv = pow(c, -1, p)
-            for lower in range(block):
-                t0 = time.perf_counter()
-                rep = 0
-                weight = 1
-                rest = lower
-                while rest:
-                    rest, digit = divmod(rest, p)
-                    rep += digit * inv % p * weight
-                    weight *= p
-                value = cache[rep]
-                yield c * block + lower, value, time.perf_counter() - t0
+    size = space.size()
+    base, generators = _code_generators(space)
+    orbit = array("i", [-1]) * size
+    values = []
+    for code in range(1, size):
+        t0 = time.perf_counter()
+        known = orbit[code]
+        if known >= 0:
+            value = values[known]
+            yield code, value, time.perf_counter() - t0
+            continue
+        coeffs = []
+        rest = code
+        for _ in mons:
+            rest, digit = divmod(rest, p)
+            coeffs.append(digit)
+        value, seconds = _timed(measure, Poly(field, space.num_vars, zip(mons, coeffs)))
+        known = len(values)
+        values.append(value)
+        orbit[code] = known
+        stack = [code]
+        while stack:
+            rest = stack.pop()
+            chunks = []
+            while rest:
+                rest, low = divmod(rest, base)
+                chunks.append(low)
+            for tables in generators:
+                image = sum(map(list.__getitem__, tables, chunks))
+                if orbit[image] < 0:
+                    orbit[image] = known
+                    stack.append(image)
+        yield code, value, seconds
 
 
 def census(
@@ -140,8 +195,11 @@ def census(
     (seed, index) random stream, so results do not depend on execution
     order.  ``exhaustive`` mode takes no seed: it walks every nonzero form
     in coefficient-code order with seed recorded as 0 and index equal to
-    the code; it measures each projective class once and copies the result
-    to the scalar multiples, whose ``elapsed_ms`` is the lookup time.
+    the code.  The singular locus is carried along by any invertible linear
+    change of variables, so it measures only the smallest code of each
+    orbit of the monomial group (variable permutations, diagonal scalings
+    and scalars) and copies the result to the rest of the orbit, whose
+    ``elapsed_us`` is the lookup time.
     """
     check_nb(n, b)
     if l < 1:
@@ -160,7 +218,7 @@ def census(
             l=l,
             sing_dim=dd.projective_dim,
             sing_deg=dd.degree,
-            elapsed_ms=round(seconds * 1000),
+            elapsed_us=round(seconds * 1e6),
         )
 
     if mode == "exhaustive":
@@ -168,7 +226,7 @@ def census(
         seed = 0
         records = [
             record(code, 0, dd, seconds)
-            for code, dd, seconds in _class_walk(space, sing_dim_deg)
+            for code, dd, seconds in _orbit_walk(space, sing_dim_deg)
         ]
     elif mode == "sample":
         if trials is None or trials < 1:
@@ -308,8 +366,9 @@ def squarefree_census(
     mismatches = 0
     checked = 0
 
-    # Both sides are invariant under scaling (c * G^2 H = G^2 (cH)), so the
-    # exhaustive walk may copy a representative's outcome to its multiples.
+    # Both sides are invariant under invertible linear changes of variables
+    # and under scaling (c * G^2 H = G^2 (cH)), so the exhaustive walk may
+    # copy an orbit's outcome from its smallest code to the rest.
     def mismatch(form):
         in_set = form.canonical_key() in reps
         deep = sing_dim_deg(form).projective_dim >= threshold
@@ -318,7 +377,7 @@ def squarefree_census(
     if mode == "exhaustive":
         check_cap(space.size(), cap, what="exhaustive square-free census")
         seed = 0
-        for _, missed, _ in _class_walk(space, mismatch):
+        for _, missed, _ in _orbit_walk(space, mismatch):
             checked += 1
             mismatches += missed
     elif mode == "sample":

@@ -266,7 +266,7 @@ def test_criterion_11_jacobian_witness():
 
 def test_criterion_12_census_cli_determinism(tmp_path, capsys):
     """Identical config and seed reproduce the census byte for byte,
-    once the two wall-clock fields (generated_at, elapsed_ms) are removed."""
+    once the two wall-clock fields (generated_at, elapsed_us) are removed."""
     out = tmp_path / "census.csv"
     argv = [
         "census", "--n", "3", "--b", "1", "--l", "2", "--p", "3",

@@ -1,5 +1,6 @@
 import io
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from singcensus.experiments import (
     squarefree_census,
     write_census_csv,
 )
-from singcensus.experiments.census import _class_walk
+from singcensus.experiments.census import _orbit_walk
 from singcensus.groebner import sing_dim_deg
 
 
@@ -59,7 +60,7 @@ def test_record_fields_carry_the_configuration(F5):
         assert (r.seed, r.index, r.q, r.n, r.b, r.l) == (11, idx, 5, 3, 2, 2)
         assert r.sing_dim >= -1
         assert r.sing_deg >= 0
-        assert r.elapsed_ms >= 0
+        assert r.elapsed_us >= 0
 
 
 def test_sample_mode_requires_trials(F2):
@@ -90,28 +91,59 @@ def test_exhaustive_census_tiny_case(F2):
     assert summary.trials == len(records)
 
 
-def test_class_walk_measures_each_projective_class_once(F5):
-    space = GradedSpace(F5, 3, 2, GradedSpace.HOMOGENEOUS)
+def _substitute(form, sigma, units, scalar):
+    """scalar * form(units[0]*x_sigma(0), ..., units[n]*x_sigma(n))."""
+    p = form.field.p
+    terms = {}
+    for exps, c in form.terms.items():
+        image = [0] * form.nvars
+        for i, e in enumerate(exps):
+            image[sigma[i]] = e
+            c = c * pow(units[i], e, p)
+        terms[tuple(image)] = c * scalar
+    return Poly(form.field, form.nvars, terms)
+
+
+def _monomial_group(nvars, p):
+    """Every element of S_{n+1} x| (F_p^*)^{n+1} x F_p^*, as substitution args."""
+    units = range(1, p)
+    return [
+        (sigma, scaling, scalar)
+        for sigma in permutations(range(nvars))
+        for scaling in product(units, repeat=nvars)
+        for scalar in units
+    ]
+
+
+@pytest.mark.parametrize("p, nvars, degree", [(2, 4, 2), (3, 4, 2), (5, 3, 2)])
+def test_orbit_walk_measures_each_orbit_once(p, nvars, degree):
+    space = GradedSpace(PrimeField(p), nvars, degree, GradedSpace.HOMOGENEOUS)
     mons = space.monomials
-    forms = list(space.iter_all())
+
+    def code_of(form):
+        return sum(form.terms.get(m, 0) * p**i for i, m in enumerate(mons))
+
     measured = []
 
     def measure(form):
         measured.append(form)
-        return form.canonical_key()
+        return code_of(form)
 
-    codes = []
-    for code, rep_key, _ in _class_walk(space, measure):
-        form = forms[code]
-        top = max(i for i, m in enumerate(mons) if m in form.terms)
-        inverse = pow(form.terms[mons[top]], -1, 5)
-        assert rep_key == form.scale(inverse).canonical_key()
-        codes.append(code)
-    assert codes == list(range(1, 5**6)) and len(forms) == 5**6
-    classes = {
-        frozenset(f.scale(c).canonical_key() for c in range(1, 5)) for f in measured
-    }
-    assert len(measured) == len(classes) == (5**6 - 1) // 4
+    walked = list(_orbit_walk(space, measure))
+    assert [code for code, _, _ in walked] == list(range(1, p ** len(mons)))
+
+    group = _monomial_group(nvars, p)
+    smallest = {}
+    for form in measured:
+        orbit = {code_of(_substitute(form, *g)) for g in group}
+        assert min(orbit) == code_of(form)
+        assert not orbit & smallest.keys()  # orbits of measured forms are disjoint
+        smallest.update(dict.fromkeys(orbit, code_of(form)))
+    # the measured forms are the orbit minima of every nonzero form
+    assert sorted(smallest) == list(range(1, p ** len(mons)))
+    for code, value, seconds in walked:
+        assert value == smallest[code]
+        assert seconds >= 0
 
 
 @st.composite
@@ -125,12 +157,20 @@ def cubic_surfaces(draw):
     return Poly(PrimeField(p), 4, zip(mons, coeffs))
 
 
-@given(cubic_surfaces())
+@given(
+    cubic_surfaces(),
+    st.permutations(range(4)),
+    st.lists(st.integers(1, 6), min_size=5, max_size=5),
+)
 @settings(max_examples=30, deadline=None)
-def test_sing_dim_deg_is_invariant_under_scaling(f):
+def test_sing_dim_deg_is_invariant_under_scaling(f, sigma, units):
+    # a draw of 5 is no unit of F_5; it is read as 1 there
+    p = f.field.p
+    units = [u % p or 1 for u in units]
     dd = sing_dim_deg(f)
-    for c in range(2, f.field.p):
+    for c in range(2, p):
         assert sing_dim_deg(f.scale(c)) == dd
+    assert sing_dim_deg(_substitute(f, sigma, units[:4], units[4])) == dd
 
 
 def test_exhaustive_census_respects_cap(F3):
@@ -155,7 +195,7 @@ def test_csv_round_trip(F2):
     buf = io.StringIO()
     write_census_csv(records, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == CSV_HEADER == "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_ms"
+    assert lines[0] == CSV_HEADER == "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_us"
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[:6] == ["1", "0", "2", "3", "1", "2"]
@@ -206,6 +246,13 @@ def test_squarefree_census_exhaustive_quadrics(F2):
     report = squarefree_census(3, 2, F2, mode="exhaustive")
     assert report.checked == 2**10 - 1
     assert report.mismatches == 0
+    assert report.member_violations == 0
+    assert report.agree
+
+
+def test_squarefree_census_exhaustive_quadrics_over_f3(F3):
+    report = squarefree_census(3, 2, F3, mode="exhaustive")
+    assert report.checked == 3**10 - 1
     assert report.member_violations == 0
     assert report.agree
 

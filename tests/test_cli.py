@@ -85,7 +85,7 @@ def test_census_stdout_csv_stderr_summary(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_ms"
+    assert lines[0] == "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_us"
     assert len(lines) == 6
     env = json.loads(err)
     assert env["seed"] == 1
@@ -393,6 +393,22 @@ def test_cap_exceeded_exits_3(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["en-experiment", "--n", str(2**64), "--b", "1", "--l", "3", "--p", "2",
+         "--trials", "1", "--seed", "1"],
+        ["census", "--n", "100000", "--b", "1", "--l", "2", "--p", "2",
+         "--trials", "1", "--seed", "1"],
+    ],
+)
+def test_monomial_list_above_the_cap_exits_3(capsys, argv):
+    # a valid but huge n is refused before its monomials are listed
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert "monomial list" in err
 
 
 def test_internal_check_exits_4(capsys, monkeypatch, tmp_path):
