@@ -7,7 +7,7 @@ configuration, the seed in play, the package version, and a wall-clock
 stamp — so any output can be replayed exactly.
 
 Exit codes: 0 success, 2 bad parameters or malformed input, 3 enumeration
-cap exceeded, 4 a post-hoc internal check failed.
+cap or size limit exceeded, 4 a post-hoc internal check failed.
 """
 
 import argparse

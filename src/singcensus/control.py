@@ -3,6 +3,7 @@ and the JSON encoding of reports."""
 
 import os
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -84,9 +85,21 @@ def fresh_seed():
     return random.SystemRandom().randrange(1 << 48)
 
 
+def _decimal(value: int) -> str:
+    """str(value), or CapExceeded past Python's limit on the digits of an
+    int-to-str conversion (sys.get_int_max_str_digits(), 4300 by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise CapExceeded(
+            f"a result has more than {sys.get_int_max_str_digits()} decimal "
+            "digits; pick smaller parameters or raise PYTHONINTMAXSTRDIGITS"
+        ) from None
+
+
 def rational_json(value):
     """Exact fraction as base-10 string pair for JSON reports."""
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
 
 
 def _json_value(value):

@@ -18,7 +18,8 @@ class ParseError(ValidationError):
 
 
 class CapExceeded(RuntimeError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed the configured cap, or a
+    result would exceed a fixed size limit."""
 
 
 class InternalCheckError(AssertionError):

@@ -24,6 +24,7 @@ degree-l graded piece.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ..algebra.field import PrimeField
@@ -31,7 +32,7 @@ from ..algebra.linalg import RowEchelonGF
 from ..algebra.poly import Poly, monomials_of_degree
 from ..bounds import A_b
 from ..control import JsonReport, check_nb, check_prime
-from ..errors import InternalCheckError, ValidationError
+from ..errors import CapExceeded, InternalCheckError, ValidationError
 from ..groebner import graded_piece_dimension, intersect_many
 
 __all__ = [
@@ -268,6 +269,11 @@ def random_config(
         raise ValidationError(
             f"cannot pick {d} distinct planes over F_{p}: "
             f"only {capacity} graph members plus one limit member exist"
+        )
+    if capacity > sys.maxsize:
+        raise CapExceeded(
+            f"cannot sample among {p}^{n - b} graph members: random.sample "
+            f"draws from at most {sys.maxsize}; pick a smaller n - b"
         )
     codes = rng.sample(range(capacity), finite_count)
     points = []

@@ -3,15 +3,19 @@
 Two independent readings are cross-checked on every query: the Krull
 dimension from the maximal independent variable subset of the staircase, and
 the pole order of the Hilbert series at t = 1.  The numerator of the series
-(computed by the standard pivot recursion on the monomial ideal) evaluated at
-t = 1 after cancelling the pole gives the degree, with multiplicity, of the
-top-dimensional part.
+(computed by the standard pivot recursion on the monomial ideal, with each
+monomial packed into one int) evaluated at t = 1 after cancelling the pole
+gives the degree, with multiplicity, of the top-dimensional part.  The
+staircase reads each lead as one support bitmask.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from ..errors import InternalCheckError
+from .orders import slot_ones
 
 
 @dataclass(frozen=True)
@@ -28,27 +32,19 @@ class DimensionDegree:
 def staircase_dimension(leads, nvars):
     """Krull dimension of k[x]/I from the leading exponent tuples of a
     reduced basis: the largest variable subset S such that no leading
-    monomial is supported inside S.  -1 for the unit ideal."""
-    leads = list(leads)
-    if any(not any(e) for e in leads):
+    monomial is supported inside S.  -1 for the unit ideal.
+
+    Supports and subsets are bitmasks: a lead is supported inside S when
+    its support has no bit outside S's mask."""
+    supports = {sum(1 << i for i, e in enumerate(ex) if e) for ex in leads}
+    if 0 in supports:
         return -1
-    supports = [frozenset(i for i, e in enumerate(ex) if e) for ex in leads]
     for size in range(nvars, 0, -1):
         for subset in combinations(range(nvars), size):
-            s = frozenset(subset)
-            if not any(sup <= s for sup in supports):
+            outside = ~sum(1 << i for i in subset)
+            if all(sup & outside for sup in supports):
                 return size
     return 0
-
-
-def _minimalize(gens):
-    """Minimal generating set of a monomial ideal given as exponent tuples."""
-    gens = sorted(set(gens), key=sum)
-    out = []
-    for g in gens:
-        if not any(all(a <= b for a, b in zip(m, g)) for m in out):
-            out.append(g)
-    return out
 
 
 def _poly_mul(a, b):
@@ -72,51 +68,79 @@ def _poly_add(a, b, shift=0):
 
 def hilbert_numerator(leads, nvars):
     """Coefficients of N(t) with Hilbert series of k[x]/I equal to
-    N(t) / (1-t)^nvars, for the monomial ideal generated by `leads`."""
+    N(t) / (1-t)^nvars, for the monomial ideal generated by `leads`.
+
+    The pivot recursion runs on monomials packed into one int each, nvars
+    slots of a width chosen per call so that every total degree and the
+    generator count stay below the slot's top (guard) bit.  With G the
+    guard bits and ONES a 1 in every slot: a divides b when the guarded
+    subtraction ((b | G) - a) & G equals G; the support of a is
+    ((a | G) - ONES) & G; and the top slot of a * ONES is the degree of a
+    (no partial sum reaches the guard bit, so nothing carries).  Every
+    monomial of the recursion divides a generator, and no step grows the
+    number of generators, so one width serves the whole call."""
+    leads = [tuple(ex) for ex in leads]
+    if not leads:
+        return [1]
+    width = max(len(leads), max(map(sum, leads))).bit_length() + 1
+    guard_shift = width - 1
+    slot = (1 << width) - 1
+    top = width * (nvars - 1)
+    ones = slot_ones(nvars, width)
+    guards = ones << guard_shift
+    shifts = [width * i for i in range(nvars)]
+
+    def minimalize(gens):
+        """The minimal generators, ascending.  A divisor is never a larger
+        int than its multiple, so it is met first."""
+        out = []
+        for m in sorted(set(gens)):
+            top_m = m | guards
+            for o in out:
+                if (top_m - o) & guards == guards:
+                    break
+            else:
+                out.append(m)
+        return tuple(out)
+
     memo = {}
 
     def rec(gens):
-        gens = tuple(sorted(gens))
         hit = memo.get(gens)
         if hit is not None:
             return hit
         if not gens:
             res = [1]
-        elif any(not any(g) for g in gens):
+        elif gens[0] == 0:
             res = [0]
         else:
-            # pairwise-disjoint supports form a regular sequence: product
-            # formula.  This also guarantees the pivot below touches at
-            # least two generators, so both split branches strictly shrink.
-            supports = [[i for i, e in enumerate(g) if e] for g in gens]
-            flat = [i for s in supports for i in s]
-            if len(set(flat)) == len(flat):
+            supports = [((g | guards) - ones) & guards for g in gens]
+            total = sum(supports)
+            if total == reduce(or_, supports):
+                # pairwise-disjoint supports form a regular sequence: product
+                # formula.  This also guarantees the pivot below touches at
+                # least two generators, so both split branches strictly shrink.
                 res = [1]
                 for g in gens:
-                    a = sum(g)
-                    factor = [1] + [0] * (a - 1) + [-1]
-                    res = _poly_mul(res, factor)
+                    a = ((g * ones) >> top) & slot  # the degree of g
+                    res = _poly_mul(res, [1] + [0] * (a - 1) + [-1])
             else:
-                # pivot on the most frequent variable
-                counts = [0] * len(gens[0])
-                for g in gens:
-                    for i, e in enumerate(g):
-                        if e:
-                            counts[i] += 1
-                piv = counts.index(max(counts))
-                unit = tuple(1 if i == piv else 0 for i in range(len(gens[0])))
-                plus = _minimalize([g for g in gens if g[piv] == 0] + [unit])
-                colon = _minimalize(
-                    [
-                        tuple(e - 1 if i == piv and e else e for i, e in enumerate(g))
-                        for g in gens
-                    ]
-                )
-                res = _poly_add(rec(plus), rec(colon), shift=1)
+                # pivot on the most frequent variable, the first on ties;
+                # slot i of `counts` is the number of generators x_i divides
+                counts = total >> guard_shift
+                per_var = [(counts >> sh) & slot for sh in shifts]
+                piv = per_var.index(max(per_var))
+                unit = 1 << shifts[piv]
+                bit = unit << guard_shift
+                plus = [g for g, s in zip(gens, supports) if not s & bit]
+                colon = [g - unit if s & bit else g for g, s in zip(gens, supports)]
+                res = _poly_add(rec(minimalize(plus + [unit])),
+                                rec(minimalize(colon)), shift=1)
         memo[gens] = res
         return res
 
-    return rec(tuple(_minimalize(tuple(map(tuple, leads)))))
+    packed = [sum(e << sh for e, sh in zip(ex, shifts)) for ex in leads]
+    return rec(minimalize(packed))
 
 
 def _shave_pole(num):

@@ -411,6 +411,25 @@ def test_monomial_list_above_the_cap_exits_3(capsys, argv):
     assert "monomial list" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 2^1999 graph members: too many for random.sample to draw from
+        (["speccodim", "--n", "2000", "--b", "1", "--l", "2", "--p", "2",
+          "--random", "2", "--seed", "1"], "cannot sample among 2^1999"),
+        # prob_En_lower has a 5,780-digit denominator here; at n = 2000 the
+        # same refusal comes after about a minute of exact arithmetic
+        (["bounds", "--n", "160", "--b", "1", "--l", "30", "--p", "2"],
+         "decimal digits"),
+    ],
+)
+def test_results_beyond_a_size_limit_exit_3(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert message in err
+    assert out == ""
+
+
 def test_internal_check_exits_4(capsys, monkeypatch, tmp_path):
     import singcensus.cli as cli_mod
 

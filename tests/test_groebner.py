@@ -18,6 +18,7 @@ from singcensus.groebner import (
     singular_locus_ideal,
 )
 from singcensus.groebner.hilbert import (
+    _shave_pole,
     dimension_degree_from_leads,
     hilbert_numerator,
     staircase_dimension,
@@ -283,6 +284,88 @@ def test_staircase_dimension_fixtures():
     assert staircase_dimension([(1, 1, 0, 0)], 4) == 3
     assert staircase_dimension([], 3) == 3
     assert staircase_dimension([(0, 0, 0)], 3) == -1  # unit ideal
+
+
+def _tuple_minimalize(gens):
+    gens = sorted(set(gens), key=sum)
+    out = []
+    for g in gens:
+        if not any(all(a <= b for a, b in zip(m, g)) for m in out):
+            out.append(g)
+    return out
+
+
+def _tuple_hilbert_numerator(leads):
+    """Reference: the pivot recursion on exponent tuples, as it ran before
+    monomials were packed into ints."""
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return out
+
+    def add_shifted(a, b):
+        out = list(a) + [0] * max(0, 1 + len(b) - len(a))
+        for j, y in enumerate(b):
+            out[1 + j] += y
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return out
+
+    def rec(gens):
+        if not gens:
+            return [1]
+        if any(not any(g) for g in gens):
+            return [0]
+        supports = [[i for i, e in enumerate(g) if e] for g in gens]
+        flat = [i for sup in supports for i in sup]
+        if len(set(flat)) == len(flat):
+            res = [1]
+            for g in gens:
+                res = mul(res, [1] + [0] * (sum(g) - 1) + [-1])
+            return res
+        counts = [sum(1 for g in gens if g[i]) for i in range(len(gens[0]))]
+        piv = counts.index(max(counts))
+        unit = tuple(int(i == piv) for i in range(len(gens[0])))
+        plus = _tuple_minimalize([g for g in gens if g[piv] == 0] + [unit])
+        colon = _tuple_minimalize(
+            [tuple(e - (i == piv and e > 0) for i, e in enumerate(g)) for g in gens]
+        )
+        return add_shifted(rec(plus), rec(colon))
+
+    return rec(_tuple_minimalize([tuple(g) for g in leads]))
+
+
+def _random_monomial_ideal(rng, nvars):
+    gens = [
+        [rng.choice([0, 0, 0, 1, 2, 3]) for _ in range(nvars)]
+        for _ in range(rng.randrange(0, 7))
+    ]
+    if gens and rng.random() < 0.3:
+        # one exponent past the kernel's 15-bit slot; only one, so that no
+        # chain of colon ideals has to peel it off one degree at a time
+        rng.choice(gens)[rng.randrange(nvars)] = rng.randint(1 << 15, 70000)
+    return [tuple(g) for g in gens]
+
+
+def test_packed_hilbert_numerator_matches_the_tuple_recursion():
+    rng = random.Random(11)
+    for _ in range(400):
+        nvars = rng.randrange(1, 7)
+        gens = _random_monomial_ideal(rng, nvars)
+        num = hilbert_numerator(gens, nvars)
+        assert num == _tuple_hilbert_numerator(gens), gens
+        # the staircase dimension is the order of the pole at t = 1
+        dim = staircase_dimension(gens, nvars)
+        if dim >= 0:
+            mult, _ = _shave_pole(num)
+            assert dim == nvars - mult, gens
+        else:
+            assert num == [0]
 
 
 def test_hilbert_numerator_fixtures():

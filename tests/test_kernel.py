@@ -17,7 +17,7 @@ from singcensus.algebra.field import PrimeField
 from singcensus.algebra.poly import GradedSpace
 from singcensus.errors import KernelCapacityError
 from singcensus.groebner import MonomialOrder, buchberger, kernel, kernel_pure
-from singcensus.groebner.orders import ELIM0, GREVLEX, OrderContext
+from singcensus.groebner.orders import ELIM0, GREVLEX, LEX, SLOT_MAX, OrderContext
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_DIR = ROOT / "src" / "singcensus" / "groebner"
@@ -136,6 +136,53 @@ def test_order_keys_guard_total_degree(order):
     ctx.key((0, 30000, 30000))
     with pytest.raises(KernelCapacityError):
         ctx.key((0, 30000, 40000))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, ELIM0])
+def test_packed_lcm_and_key_match_their_tuple_definitions(order):
+    rng = random.Random(order)
+    for nvars in range(2 if order == ELIM0 else 1, 10):
+        ctx = OrderContext(nvars, order)
+        for _ in range(200):
+            top = rng.choice([3, 300, SLOT_MAX])
+            a, b = (
+                tuple(rng.choice([0, top, rng.randint(0, top)]) for _ in range(nvars))
+                for _ in range(2)
+            )
+            lcm = tuple(map(max, a, b))
+            dl = ctx.lcm_dkey(ctx.dkey(a), ctx.dkey(b))
+            assert dl == ctx.dkey(lcm)
+            try:
+                expected = ctx.key(lcm)
+            except KernelCapacityError:  # total degree above 2**16 - 1
+                for bound in (sum(a) + sum(b), sum(lcm)):
+                    with pytest.raises(KernelCapacityError):
+                        ctx.key_of_dkey(dl, bound)
+                continue
+            # the sum of the parents' degrees, and the exact degree
+            assert ctx.key_of_dkey(dl, sum(a) + sum(b)) == expected
+            assert ctx.key_of_dkey(dl, sum(lcm)) == expected
+            if order == GREVLEX and max(sum(a), sum(b)) <= 0xFFFF:
+                assert ctx.degree_bound(ctx.key(a), ctx.key(b)) == sum(a) + sum(b)
+
+
+def test_pure_kernel_guards_the_degree_of_an_s_pair():
+    # both generators fit; the lcm of their leads has degree 90,000
+    gens = [[((30000, 30000, 0), 1), ((0, 0, 1), 1)],
+            [((0, 30000, 30000), 1), ((1, 0, 0), 1)]]
+    with pytest.raises(KernelCapacityError):
+        kernel_pure.reduced_groebner(gens, 3, 5, GREVLEX)
+
+
+def test_pure_kernel_guards_every_term_of_a_product():
+    # x1^13000 * (x0^20000 + x1^19999): the lead fits its slots, the second
+    # term needs x1^32999, above SLOT_MAX
+    f = [((20000, 0), 1), ((0, 19999), 1)]
+    h = [((20000, 13000), 1)]
+    with pytest.raises(KernelCapacityError):
+        kernel_pure.normal_form(h, [f], 2, 5, GREVLEX)
+    with pytest.raises(KernelCapacityError):  # the S-pair of f and h
+        kernel_pure.reduced_groebner([f, h], 2, 5, GREVLEX)
 
 
 def test_kernel_name_reports_active_choice():
