@@ -5,10 +5,18 @@ Everything here is exact big-integer or rational arithmetic; no floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Dict, Optional, Tuple
 
-from .control import JsonReport, check_nb, check_prime, check_q_is_p
+from .control import (
+    JsonReport,
+    check_cap,
+    check_nb,
+    check_prime,
+    check_q_is_p,
+    fits_decimal,
+    too_many_digits,
+)
 from .errors import InternalCheckError, ValidationError
 
 L0_CEILING = 10**4
@@ -83,19 +91,26 @@ def check_hypothesis(l: int, m: int, a: int, p: int, b: int) -> bool:
 
 
 def find_l0(
-    n: int, b: int, p: int, window: int = 50, ceiling: int = L0_CEILING
+    n: int,
+    b: int,
+    p: int,
+    window: int = 50,
+    ceiling: int = L0_CEILING,
+    cap=None,
 ) -> int:
     """Smallest l whose whole verification window [l, l+window] passes the
     hypothesis check, with a 2x slack margin at the window's far end as an
     effective stand-in for the degree-growth argument.
 
     Covers the large-degree condition only; the full threshold also needs an
-    externally supplied ingredient (see BoundsReport.s1_l0).
+    externally supplied ingredient (see BoundsReport.s1_l0).  A window above
+    the enumeration cap raises CapExceeded.
     """
     check_nb(n, b)
     check_prime(p)
     if window < 1:
         raise ValidationError("window >= 1 required")
+    check_cap(window, cap, what="l0 window")
     if ceiling < 2:
         raise ValidationError("ceiling >= 2 required")
 
@@ -129,25 +144,60 @@ def find_l0(
     )
 
 
+def _p_part(a: int, p: int, known: int) -> Tuple[int, int]:
+    """(v, a / p^v) for a nonzero integer a, v its p-adic valuation, given
+    that p^known divides a."""
+    a //= p**known
+    while a % p == 0:
+        a //= p
+        known += 1
+    return known, a
+
+
 def prob_En_lower(n: int, b: int, l: int, p: int, q: int) -> Fraction:
     """Exact lower bound for the good-behavior event: product of
     (1 - (l-1)^i / q^C(tau+b+1, b+1)) over i = 0..n-b-1, times
-    (1 - (l-1)^(n-b) / q^A_b(tau, m'))."""
+    (1 - (l-1)^(n-b) / q^A_b(tau, m')).  q must equal p.
+
+    Factor i is (p^E - (l-1)^i) / p^E, and its numerator shares with a
+    power of p only the powers of p it contains.  So the reduced
+    denominator is p^(sum E - V), V the sum of the numerators' valuations,
+    and the size of the reduced numerator is known to a bit per factor.
+    Both are bounded before the product is built: a result with more
+    decimal digits than Python converts to text (``control.fits_decimal``)
+    raises CapExceeded unbuilt.
+    """
     check_nb(n, b)
     if l < 1:
         raise ValidationError("l >= 1 required")
     check_prime(p)
-    if q < 2:
-        raise ValidationError("q >= 2 required")
+    check_q_is_p(p, q)
     t = tau(l, p)
-    mp = m_prime(l, p)
-    exp_head = comb(t + b + 1, b + 1)
-    exp_tail = A_b(t, mp, b)
-    value = Fraction(1)
-    for i in range(n - b):
-        value *= 1 - Fraction((l - 1) ** i, q**exp_head)
-    value *= 1 - Fraction((l - 1) ** (n - b), q**exp_tail)
-    return value
+    exps = [comb(t + b + 1, b + 1)] * (n - b) + [A_b(t, m_prime(l, p), b)]
+    # p^min(e, i*w) divides p^e - (l-1)^i, w the valuation of l - 1
+    w = 0 if l == 1 else _p_part(l - 1, p, 0)[0]
+    units = []
+    valuation = 0
+    c = 1  # (l-1)^i
+    for i, e in enumerate(exps):
+        a = p**e - c
+        if a == 0:
+            return Fraction(0)
+        v, unit = _p_part(a, p, e if c == 0 else min(e, i * w))
+        units.append(unit)
+        valuation += v
+        c *= l - 1
+    den_exp = sum(exps) - valuation
+    num_exp = max(0, -den_exp)
+    den = p ** max(0, den_exp)
+    # the numerator is at least 2^low in absolute value
+    low = sum(u.bit_length() - 1 for u in units) + num_exp * (p.bit_length() - 1)
+    if not (fits_decimal(den) and fits_decimal(1 << low)):
+        raise too_many_digits()
+    num = prod(units) * p**num_exp
+    if not fits_decimal(num):
+        raise too_many_digits()
+    return Fraction(num, den)
 
 
 def dim_im_phi(n: int, d: int, l: int) -> int:
@@ -208,6 +258,7 @@ def bounds_report(
     q: int,
     s1_l0: Optional[int] = None,
     window: int = 50,
+    cap=None,
 ) -> BoundsReport:
     """Assemble the full report.  q must equal p: the package works over
     prime fields only, so the counting field size is the characteristic."""
@@ -219,7 +270,7 @@ def bounds_report(
     t = tau(l, p)
     table = {m: A_b(t, m, b) for m in range(1, t + 2)}
     try:
-        l0 = find_l0(n, b, p, window=window)
+        l0 = find_l0(n, b, p, window=window, cap=cap)
     except ValidationError:
         l0 = None  # ceiling miss: leave the slot empty rather than guess
     advisory = None

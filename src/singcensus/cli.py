@@ -201,6 +201,7 @@ def _cmd_bounds(cfg: RunConfig) -> int:
         cfg.get("q", p),
         s1_l0=cfg.get("s1_l0"),
         window=cfg.get("window", 50),
+        cap=cfg.get("cap"),
     )
     _emit(cfg, report.to_json_dict(), out=cfg.get("out"))
     return 0
@@ -208,7 +209,7 @@ def _cmd_bounds(cfg: RunConfig) -> int:
 
 def _cmd_l0(cfg: RunConfig) -> int:
     n, b, p = cfg.require("n"), cfg.require("b"), cfg.require("p")
-    value = find_l0(n, b, p, window=cfg.get("window", 50))
+    value = find_l0(n, b, p, window=cfg.get("window", 50), cap=cfg.get("cap"))
     if cfg.get("format") == "json":
         _emit(cfg, {"l0_large_d": value}, out=cfg.get("out"))
     else:

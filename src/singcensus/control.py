@@ -85,16 +85,27 @@ def fresh_seed():
     return random.SystemRandom().randrange(1 << 48)
 
 
+def fits_decimal(value: int) -> bool:
+    """Whether str(value) is within Python's limit on the digits of an
+    int-to-str conversion (sys.get_int_max_str_digits(), 4300 by default;
+    0 lifts it)."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or abs(value) < 10**limit
+
+
+def too_many_digits() -> CapExceeded:
+    """The error for a result that ``fits_decimal`` refuses."""
+    return CapExceeded(
+        f"a result has more than {sys.get_int_max_str_digits()} decimal "
+        "digits; pick smaller parameters or raise PYTHONINTMAXSTRDIGITS"
+    )
+
+
 def _decimal(value: int) -> str:
-    """str(value), or CapExceeded past Python's limit on the digits of an
-    int-to-str conversion (sys.get_int_max_str_digits(), 4300 by default)."""
-    try:
-        return str(value)
-    except ValueError:
-        raise CapExceeded(
-            f"a result has more than {sys.get_int_max_str_digits()} decimal "
-            "digits; pick smaller parameters or raise PYTHONINTMAXSTRDIGITS"
-        ) from None
+    """str(value), or CapExceeded where ``fits_decimal`` fails."""
+    if not fits_decimal(value):
+        raise too_many_digits()
+    return str(value)
 
 
 def rational_json(value):

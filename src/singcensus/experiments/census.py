@@ -11,6 +11,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..algebra.field import PrimeField
 from ..algebra.poly import GradedSpace, Poly
@@ -34,9 +35,10 @@ CSV_HEADER = "seed,trial,q,n,b,l,sing_dim,sing_deg,elapsed_us"
 _TABLE_LIMIT = 1 << 12
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    """One measured form: identity of the trial plus its singular locus."""
+class CensusRecord(NamedTuple):
+    """One measured form: identity of the trial plus its singular locus.
+
+    A named tuple, because an exhaustive census builds one per form."""
 
     seed: int
     index: int
@@ -84,15 +86,16 @@ def _timed(measure, form):
 
 
 def _code_generators(space: GradedSpace):
-    """Generators of the monomial group, each acting on coefficient codes.
+    """Generators of the monomial group, each as one array("i") holding the
+    image of every coefficient code.
 
     The group is generated by the adjacent transpositions x_j <-> x_{j+1}
     and, for p > 2, by x_0 -> g*x_0 and f -> g*f with g a generator of
     F_p^*.  A generator moves digit i of a code to position perm[i] and
-    multiplies it by units[i], so it is stored as one table per chunk of
-    digits: the image of a code is the sum of its chunks' table entries.
-    Returns (p**width, tables per generator), chunk k being the k-th
-    base-p**width digit of the code.
+    multiplies it by units[i], so the image of a code is the sum of one
+    table entry per chunk of digits.  The array is built from the sums over
+    the high chunks, extended by the low chunk's table once per high sum,
+    so no list of every code is ever held.
     """
     p = space.field.p
     mons = space.monomials
@@ -124,8 +127,15 @@ def _code_generators(space: GradedSpace):
                 images = [d * units[i] % p * p ** perm[i] for d in range(p)]
                 table = [t + image for t in table for image in images]
             tables.append(table)
-        generators.append(tables)
-    return p**width, generators
+        low, *high = tables
+        offsets = [0]
+        for table in reversed(high):
+            offsets = [o + t for o in offsets for t in table]
+        image = array("i")
+        for offset in offsets:
+            image.extend([offset + t for t in low])
+        generators.append(image)
+    return generators
 
 
 def _orbit_walk(space: GradedSpace, measure):
@@ -137,23 +147,24 @@ def _orbit_walk(space: GradedSpace, measure):
     variables, scaling of each variable by a unit, or scaling of f by a
     unit.  Walking in code order, the first code met in an orbit is its
     smallest: it is measured and its whole orbit is marked with the next
-    orbit id, so every later code reads its value by id.  ``seconds`` is
-    the time spent on the row: the measurement for a smallest code, the
-    lookup for the others.
+    orbit id, reading each generator's image of a code off its array,
+    so every later code reads its value by id.  ``seconds`` is the
+    time spent on the row: the measurement for a smallest code, the lookup
+    for the others.
     """
     field = space.field
     p = field.p
     mons = space.monomials
     size = space.size()
-    base, generators = _code_generators(space)
+    images = _code_generators(space)
     orbit = array("i", [-1]) * size
     values = []
+    clock = time.perf_counter
     for code in range(1, size):
-        t0 = time.perf_counter()
+        t0 = clock()
         known = orbit[code]
         if known >= 0:
-            value = values[known]
-            yield code, value, time.perf_counter() - t0
+            yield code, values[known], clock() - t0
             continue
         coeffs = []
         rest = code
@@ -166,16 +177,12 @@ def _orbit_walk(space: GradedSpace, measure):
         orbit[code] = known
         stack = [code]
         while stack:
-            rest = stack.pop()
-            chunks = []
-            while rest:
-                rest, low = divmod(rest, base)
-                chunks.append(low)
-            for tables in generators:
-                image = sum(map(list.__getitem__, tables, chunks))
-                if orbit[image] < 0:
-                    orbit[image] = known
-                    stack.append(image)
+            member = stack.pop()
+            for image in images:
+                other = image[member]
+                if orbit[other] < 0:
+                    orbit[other] = known
+                    stack.append(other)
         yield code, value, seconds
 
 
@@ -210,15 +217,8 @@ def census(
 
     def record(index, seed_val, dd, seconds):
         return CensusRecord(
-            seed=seed_val,
-            index=index,
-            q=q,
-            n=n,
-            b=b,
-            l=l,
-            sing_dim=dd.projective_dim,
-            sing_deg=dd.degree,
-            elapsed_us=round(seconds * 1e6),
+            seed_val, index, q, n, b, l, dd.projective_dim, dd.degree,
+            round(seconds * 1e6),
         )
 
     if mode == "exhaustive":

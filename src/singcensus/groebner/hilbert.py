@@ -125,17 +125,21 @@ def hilbert_numerator(leads, nvars):
                     a = ((g * ones) >> top) & slot  # the degree of g
                     res = _poly_mul(res, [1] + [0] * (a - 1) + [-1])
             else:
-                # pivot on the most frequent variable, the first on ties;
-                # slot i of `counts` is the number of generators x_i divides
+                # pivot on x_i^k for the most frequent variable x_i (the
+                # first on ties), k its smallest positive exponent, so every
+                # generator x_i divides is a multiple of the pivot; slot i of
+                # `counts` is the number of generators x_i divides
                 counts = total >> guard_shift
                 per_var = [(counts >> sh) & slot for sh in shifts]
                 piv = per_var.index(max(per_var))
-                unit = 1 << shifts[piv]
-                bit = unit << guard_shift
+                sh = shifts[piv]
+                bit = 1 << (sh + guard_shift)
+                k = min((g >> sh) & slot for g, s in zip(gens, supports) if s & bit)
+                pivot = k << sh
                 plus = [g for g, s in zip(gens, supports) if not s & bit]
-                colon = [g - unit if s & bit else g for g, s in zip(gens, supports)]
-                res = _poly_add(rec(minimalize(plus + [unit])),
-                                rec(minimalize(colon)), shift=1)
+                colon = [g - pivot if s & bit else g for g, s in zip(gens, supports)]
+                res = _poly_add(rec(minimalize(plus + [pivot])),
+                                rec(minimalize(colon)), shift=k)
         memo[gens] = res
         return res
 

@@ -50,8 +50,16 @@ def singular_locus_ideal(f: Poly) -> List[Poly]:
 
 
 def sing_dim_deg(f: Poly) -> DimensionDegree:
-    """Dimension and degree of the singular locus of the hypersurface f = 0."""
-    return projective_dimension_degree(singular_locus_ideal(f))
+    """Dimension and degree of the singular locus of the hypersurface f = 0.
+
+    When p does not divide l = deg f, Euler's identity l*f = sum x_i df/dx_i
+    puts f in the ideal of its partials, so the partials alone go to the
+    kernel; the ideal, and so its reduced basis, is the same.
+    """
+    gens = singular_locus_ideal(f)
+    if f.degree() % f.field.p:
+        gens = gens[1:]
+    return projective_dimension_degree(gens)
 
 
 def _shift_up(poly: Poly) -> Poly:

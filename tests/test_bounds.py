@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from singcensus.bounds import (
     prob_En_lower,
     tau,
 )
-from singcensus.errors import ValidationError
+from singcensus.errors import CapExceeded, ValidationError
 
 # Hand-derived values frozen before the implementation existed.
 FROZEN = {
@@ -120,6 +121,16 @@ def test_wide_window_search_is_fast():
     assert time.perf_counter() - t0 < 10.0
 
 
+def test_window_above_the_cap_is_refused():
+    with pytest.raises(CapExceeded, match="l0 window"):
+        find_l0(3, 1, 2, window=10**9)
+    with pytest.raises(CapExceeded, match="l0 window"):
+        find_l0(3, 1, 2, window=51, cap=50)
+    assert find_l0(3, 1, 2, window=50, cap=50) == 21
+    with pytest.raises(CapExceeded):
+        bounds_report(3, 1, 7, 2, 2, window=51, cap=50)
+
+
 def test_find_l0_satisfies_hypothesis_on_window():
     l0 = find_l0(3, 1, 2, window=50)
     for l in range(l0, l0 + 51):
@@ -145,6 +156,53 @@ def test_probability_lower_bound_range():
             assert prob_En_lower(3, 1, l, p, p) <= 1
     for p in (2, 3, 5):
         assert Fraction(1, 2) < prob_En_lower(3, 1, 60, p, p) <= 1
+
+
+def _fraction_product(n, b, l, p):
+    """prob_En_lower as it was first written: one reduced Fraction per factor."""
+    t = tau(l, p)
+    value = Fraction(1)
+    for i in range(n - b):
+        value *= 1 - Fraction((l - 1) ** i, p ** math.comb(t + b + 1, b + 1))
+    return value * (1 - Fraction((l - 1) ** (n - b), p ** A_b(t, m_prime(l, p), b)))
+
+
+def test_probability_lower_bound_matches_the_fraction_product():
+    # covers l - 1 divisible by p, a zero factor (l = 5, p = 2, n >= 5) and
+    # a factor whose numerator holds more powers of p than its denominator
+    # (l = 7, p = 3, n >= 8)
+    zeros = 0
+    for p in (2, 3, 5):
+        for n in range(3, 10):
+            for b in (1, 2):
+                for l in range(1, 17):
+                    want = _fraction_product(n, b, l, p)
+                    assert prob_En_lower(n, b, l, p, p) == want, (n, b, l, p)
+                    zeros += want == 0
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("l, p", [(30, 2), (7, 3), (17, 2), (12, 2)])
+def test_probability_lower_bound_refuses_exactly_past_the_digit_limit(l, p):
+    # (30, 2) outgrows the limit in its denominator too, the others in their
+    # numerators alone; at (12, 2) and n = 35 only the built numerator
+    # shows it, its bit-count bound falling short of the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit Python allows
+    try:
+        refused = 0
+        for n in range(3, 70):
+            want = _fraction_product(n, 1, l, p)
+            fits = max(abs(want.numerator), want.denominator) < 10**640
+            if fits:
+                assert prob_En_lower(n, 1, l, p, p) == want
+            else:
+                refused += 1
+                with pytest.raises(CapExceeded, match="640 decimal digits"):
+                    prob_En_lower(n, 1, l, p, p)
+        assert 0 < refused < 67
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_image_dimension_fixture():

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import io
 from fractions import Fraction
 from itertools import permutations, product
@@ -11,12 +13,13 @@ from singcensus.algebra.poly import GradedSpace, Poly, monomials_of_degree
 from singcensus.errors import CapExceeded, ValidationError
 from singcensus.experiments import (
     CSV_HEADER,
+    CensusRecord,
     census,
     square_multiple_set,
     squarefree_census,
     write_census_csv,
 )
-from singcensus.experiments.census import _orbit_walk
+from singcensus.experiments.census import _code_generators, _orbit_walk
 from singcensus.groebner import sing_dim_deg
 
 
@@ -115,8 +118,12 @@ def _monomial_group(nvars, p):
     ]
 
 
-@pytest.mark.parametrize("p, nvars, degree", [(2, 4, 2), (3, 4, 2), (5, 3, 2)])
+@pytest.mark.parametrize(
+    "p, nvars, degree", [(2, 4, 2), (3, 4, 2), (5, 3, 2), (5, 4, 1)]
+)
 def test_orbit_walk_measures_each_orbit_once(p, nvars, degree):
+    # the orbits are found by brute force, substituting every group element
+    # into each measured form; each code must read its own orbit's value
     space = GradedSpace(PrimeField(p), nvars, degree, GradedSpace.HOMOGENEOUS)
     mons = space.monomials
 
@@ -146,6 +153,19 @@ def test_orbit_walk_measures_each_orbit_once(p, nvars, degree):
         assert seconds >= 0
 
 
+def test_image_arrays_do_not_depend_on_the_chunking(monkeypatch):
+    # the orbit test above sees at most two chunks; narrower tables split
+    # the codes of quadric surfaces into up to ten, one digit each
+    census_mod = importlib.import_module("singcensus.experiments.census")
+    for p in (2, 3):
+        space = GradedSpace(PrimeField(p), 4, 2, GradedSpace.HOMOGENEOUS)
+        want = _code_generators(space)
+        for limit in (p, p**2, p**3):
+            monkeypatch.setattr(census_mod, "_TABLE_LIMIT", limit)
+            assert _code_generators(space) == want
+            monkeypatch.undo()
+
+
 @st.composite
 def cubic_surfaces(draw):
     p = draw(st.sampled_from([5, 7]))
@@ -171,6 +191,44 @@ def test_sing_dim_deg_is_invariant_under_scaling(f, sigma, units):
     for c in range(2, p):
         assert sing_dim_deg(f.scale(c)) == dd
     assert sing_dim_deg(_substitute(f, sigma, units[:4], units[4])) == dd
+
+
+def _rows_digest(records):
+    """sha256 of the CSV text with the timing column cut off."""
+    buf = io.StringIO()
+    write_census_csv(records, buf)
+    lines = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "l, digest, histogram, prob",
+    [
+        (1, "b1969c7448fb5fe3b0653f2a32e4dbc4657c5f9f4ed21f3227f03d813c1b1906",
+         {"-1": 15}, {"num": "0", "den": "1"}),
+        (2, "93f4a557dd972c4374786fdcff03e0947a177f73f4995431a21c539d5e339c68",
+         {"-1": 448, "0": 420, "1": 140, "2": 15}, {"num": "5", "den": "33"}),
+    ],
+)
+def test_exhaustive_census_golden_over_f2(F2, l, digest, histogram, prob):
+    # rows and summary as every measured form gave them before the orbit walk
+    records, summary = census(3, 1, l, F2, mode="exhaustive")
+    assert _rows_digest(records) == digest
+    assert summary.to_json_dict() == {
+        "n": 3, "b": 1, "l": l, "q": 2, "mode": "exhaustive",
+        "trials": sum(histogram.values()), "seed": 0, "histogram": histogram,
+        "prob_sing_dim_ge_b": prob,
+    }
+
+
+def test_census_record_fields_and_row():
+    names = ("seed", "index", "q", "n", "b", "l", "sing_dim", "sing_deg", "elapsed_us")
+    assert CensusRecord._fields == names
+    rec = CensusRecord(7, 12, 3, 3, 1, 2, 0, 1, 85)
+    assert tuple(rec) == (7, 12, 3, 3, 1, 2, 0, 1, 85)
+    assert (rec.sing_dim, rec.sing_deg, rec.elapsed_us) == (0, 1, 85)
+    assert rec == CensusRecord(**dict(zip(names, rec)))
+    assert rec.csv_row() == "7,12,3,3,1,2,0,1,85"
 
 
 def test_exhaustive_census_respects_cap(F3):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -417,8 +418,7 @@ def test_monomial_list_above_the_cap_exits_3(capsys, argv):
         # 2^1999 graph members: too many for random.sample to draw from
         (["speccodim", "--n", "2000", "--b", "1", "--l", "2", "--p", "2",
           "--random", "2", "--seed", "1"], "cannot sample among 2^1999"),
-        # prob_En_lower has a 5,780-digit denominator here; at n = 2000 the
-        # same refusal comes after about a minute of exact arithmetic
+        # prob_En_lower has a 5,780-digit denominator here
         (["bounds", "--n", "160", "--b", "1", "--l", "30", "--p", "2"],
          "decimal digits"),
     ],
@@ -428,6 +428,41 @@ def test_results_beyond_a_size_limit_exit_3(capsys, argv, message):
     assert code == 3
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("l", ["30", "17"])
+def test_bounds_refuses_a_huge_probability_before_building_it(capsys, l):
+    # the product has millions of bits (in the denominator at l = 30, in the
+    # numerator alone at l = 17); its size is bounded unbuilt
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["bounds", "--n", "2000", "--b", "1", "--l", l,
+                                   "--p", "2"])
+    assert time.perf_counter() - t0 < 2
+    assert code == 3
+    assert "decimal digits" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cmd", ["l0", "bounds"])
+def test_window_above_the_cap_exits_3(capsys, monkeypatch, cmd):
+    argv = [cmd, "--n", "3", "--b", "1", "--l", "3", "--p", "2"]
+    code, _, err = _run(capsys, argv + ["--window", "1000000000"])
+    assert code == 3
+    assert "l0 window" in err
+    code, _, err = _run(capsys, argv + ["--window", "60", "--cap", "59"])
+    assert code == 3
+    monkeypatch.setenv("SINGCENSUS_CAP", "59")
+    code, _, err = _run(capsys, argv + ["--window", "60"])
+    assert code == 3
+    code, _, err = _run(capsys, argv + ["--window", "59"])
+    assert code == 0, err
+
+
+def test_singdim_with_high_shared_powers(capsys):
+    # the Hilbert numerator here once recursed past Python's stack limit
+    env = _envelope(capsys, ["singdim", "x0^1500*x1^2*x3^100 + x0^1400*x2^202",
+                             "--p", "3"])
+    assert env["result"]["projective_dim"] == 2
 
 
 def test_internal_check_exits_4(capsys, monkeypatch, tmp_path):

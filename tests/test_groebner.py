@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -236,6 +237,37 @@ def test_singular_locus_ideal_shape(F5):
     assert gens[0] == f
 
 
+@pytest.mark.parametrize("p, degree", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 4)])
+def test_partials_alone_give_the_singular_locus_when_p_does_not_divide_l(
+    monkeypatch, p, degree
+):
+    # Euler's identity l*f = sum x_i df/dx_i: for p not dividing l the kernel
+    # sees the partials only, and the ideal's reduced basis is unchanged
+    from singcensus.groebner import kernel
+
+    inputs = []
+    reduced_groebner = kernel.reduced_groebner
+
+    def recording(gens, *args):
+        inputs.append(len(gens))
+        return reduced_groebner(gens, *args)
+
+    rng = random.Random(100 * p + degree)
+    space = GradedSpace(PrimeField(p), 4, degree, GradedSpace.HOMOGENEOUS)
+    for _ in range(15):
+        f = space.sample_nonzero(rng)
+        gens = singular_locus_ideal(f)
+        want = projective_dimension_degree(gens)
+        if degree % p:
+            assert buchberger(gens[1:]).terms == buchberger(gens).terms
+        inputs.clear()
+        monkeypatch.setattr(kernel, "reduced_groebner", recording)
+        assert sing_dim_deg(f) == want
+        monkeypatch.undo()
+        nonzero = sum(not g.is_zero for g in gens[1:])
+        assert inputs == [nonzero + (degree % p == 0)]
+
+
 def test_smooth_surfaces_have_empty_singular_locus(F5):
     fermat = parse_poly("x0^4 + x1^4 + x2^4 + x3^4", 4, F5)
     dd = sing_dim_deg(fermat)
@@ -372,6 +404,39 @@ def test_hilbert_numerator_fixtures():
     assert hilbert_numerator([(2, 0), (0, 3)], 2) == [1, 0, -1, -1, 0, 1]
     assert hilbert_numerator([(1, 0, 0), (0, 1, 1)], 3) == [1, -1, -1, 1]
     assert hilbert_numerator([], 2) == [1]
+
+
+def _inclusion_exclusion_numerator(gens, nvars):
+    """Sum over subsets S of the generators of (-1)^|S| t^deg lcm(S)
+    (Taylor's resolution), trimmed of trailing zeros."""
+    coeffs = {}
+    for size in range(len(gens) + 1):
+        for subset in combinations(gens, size):
+            deg = sum(max((g[i] for g in subset), default=0) for i in range(nvars))
+            coeffs[deg] = coeffs.get(deg, 0) + (-1) ** size
+    top = max((d for d, c in coeffs.items() if c), default=0)
+    return [coeffs.get(d, 0) for d in range(top + 1)]
+
+
+def test_hilbert_numerator_pivots_on_a_power():
+    # a pivot on x_0 alone would peel x_0^2500 one degree per recursion level
+    num = hilbert_numerator([(3000, 1, 0), (2500, 0, 1)], 3)
+    want = [0] * 3003
+    want[0], want[2501], want[3001], want[3002] = 1, -1, -1, 1
+    assert num == want
+    # generators sharing one variable at exponents near 2^16
+    rng = random.Random(17)
+    for _ in range(40):
+        nvars = rng.randrange(2, 6)
+        shared = rng.randrange(nvars)
+        gens = []
+        for _ in range(rng.randrange(2, 8)):
+            ex = [rng.randrange(4) for _ in range(nvars)]
+            ex[shared] = rng.randrange(1 << 15, 70_000)
+            gens.append(tuple(ex))
+        assert hilbert_numerator(gens, nvars) == _inclusion_exclusion_numerator(
+            gens, nvars
+        ), gens
 
 
 def test_dimension_degree_fixtures():
